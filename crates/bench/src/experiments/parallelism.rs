@@ -83,7 +83,7 @@ fn software_scaling_section(quick: bool) -> String {
 
     let mut out = String::from(
         "\n## Software miner thread scaling — root-partitioned tasks\n\n\
-         Wall-clock speedup of `count_plan_parallel` over its 1-thread run \
+         Wall-clock speedup of `count_benchmark_parallel_with` over its 1-thread run \
          (identical counts at every thread count and bitmap mode, by \
          construction). `bitmap=off` is the merge/galloping engine; \
          `bitmap=on` adds the dense hub-bitmap tier.\n\n\

@@ -1,12 +1,12 @@
 //! Typed errors for the parallel mining engine.
 //!
-//! Error-handling policy (DESIGN.md §11): the infallible `count_*` APIs
-//! treat worker panics as fatal (plans produced by the compiler cannot
-//! panic the interpreter, so a panic is a bug); the fallible `try_count_*`
-//! APIs isolate each worker task with `catch_unwind` and surface failures
-//! as [`EngineError`] values carrying the failed root partitions, so a
-//! long-running host process (the bench harness, a service) can report and
-//! continue instead of aborting.
+//! Error-handling policy (DESIGN.md §11): every parallel run isolates each
+//! worker task with `catch_unwind`. The fallible `try_count_*` APIs surface
+//! failures as [`EngineError`] values carrying the failed root partitions,
+//! so a long-running host process (the bench harness, a service) can report
+//! and continue instead of aborting; the infallible `count_*` APIs panic
+//! with the same error (plans produced by the compiler cannot panic the
+//! interpreter, so a panic there is a bug).
 
 use std::error::Error;
 use std::fmt;
@@ -45,7 +45,7 @@ pub enum EngineError {
     /// reported; counts from the surviving partitions are discarded (a
     /// partial count would silently under-report).
     WorkerPanic {
-        /// The failed partitions, in task-claim order.
+        /// The failed partitions, in ascending root order.
         failures: Vec<PartitionFailure>,
     },
     /// The execution plan failed static verification before any worker

@@ -325,33 +325,16 @@ impl<'g, 'p> PlanMiner<'g, 'p> {
     }
 
     /// Like [`PlanMiner::run`], but polls `cancel` between level-0 roots
-    /// and stops early once it fires. Returns `true` when the whole task
-    /// completed and `false` on interruption — an interrupted task has
-    /// reported an unpredictable prefix of its embeddings to `sink`, so
-    /// callers must discard the sink's tally (the parallel engine does,
-    /// returning [`crate::EngineError::Cancelled`]).
+    /// and — when a gauge is attached via [`PlanMiner::attach_gauge`] —
+    /// publishes the footprint and checks the budget at the same boundary.
+    /// Cancellation is checked before the budget, so a query that is both
+    /// cancelled and over budget reports the cancellation (the caller asked
+    /// for it; the budget was incidental).
     ///
     /// The poll is per *root*, never per embedding: a live token costs one
     /// relaxed atomic load (plus a clock read when a deadline is armed) per
     /// level-0 vertex, preserving the engine's zero-per-embedding-overhead
-    /// property. A subtree below one root is never interrupted mid-walk,
-    /// so scratch state stays consistent and the miner is immediately
-    /// reusable after an interruption.
-    pub fn run_cancellable<S: Sink>(
-        &mut self,
-        task: MiningTask,
-        sink: &mut S,
-        cancel: &crate::cancel::CancelToken,
-    ) -> bool {
-        self.run_governed(task, sink, cancel).is_ok()
-    }
-
-    /// The governed superset of [`PlanMiner::run_cancellable`]: the same
-    /// per-root cancellation poll, plus — when a gauge is attached via
-    /// [`PlanMiner::attach_gauge`] — a footprint publish and budget check
-    /// at the same boundary. Cancellation is checked before the budget, so
-    /// a query that is both cancelled and over budget reports the
-    /// cancellation (the caller asked for it; the budget was incidental).
+    /// property. A subtree below one root is never interrupted mid-walk.
     ///
     /// Both halts share the cancellation contract: `sink` holds an
     /// unpredictable partial tally the caller must discard, and the miner

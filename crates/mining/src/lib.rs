@@ -19,14 +19,21 @@
 //!   statistics) over one shared interpreter;
 //! - [`PlanMiner`] — the interpreter tying the three together;
 //! - [`parallel`] — root-partitioned multi-threaded counting whose results
-//!   are bit-identical to the sequential engine; the `try_count_*` variants
-//!   isolate worker panics per task and surface them as typed
-//!   [`EngineError`]s carrying the failed root partitions.
+//!   are bit-identical to the sequential engine. One driver runs every
+//!   entry point: [`try_count_plan_parallel_governed`] (hub sharing,
+//!   cancellation, memory budget) and its shorter forms
+//!   [`try_count_plan_parallel_shared`], [`try_count_plan_parallel_with`]
+//!   and [`try_count_multi_parallel_with`] isolate worker panics per task
+//!   and surface them as typed [`EngineError`]s carrying the failed root
+//!   partitions; the infallible [`count_plan_parallel_with`],
+//!   [`count_benchmark_parallel_with`] and [`count_plan_parallel_trace`]
+//!   panic on the same errors.
 //!
 //! The crate also contains a brute-force enumerator ([`brute`]) used to
 //! validate the *compiler* itself (vertex orders, schedules, and symmetry
 //! breaking) on small graphs; both it and the pattern-oblivious ESU oracle
-//! ([`oblivious`]) get the same root-partitioned parallel treatment.
+//! ([`oblivious`]) get the same root-partitioned parallel treatment through
+//! [`parallel::sum_over_root_tasks`].
 //!
 //! # Example
 //!
@@ -71,12 +78,9 @@ pub use executor::{
 };
 pub use gauge::{GaugeScope, MemGauge};
 pub use parallel::{
-    count_benchmark_parallel, count_benchmark_parallel_with, count_multi_parallel,
-    count_multi_parallel_with, count_plan_parallel, count_plan_parallel_trace,
-    count_plan_parallel_with, try_count_benchmark_parallel, try_count_benchmark_parallel_with,
-    try_count_multi_parallel, try_count_multi_parallel_with, try_count_plan_parallel,
-    try_count_plan_parallel_governed, try_count_plan_parallel_shared, try_count_plan_parallel_with,
-    try_sum_over_root_tasks, try_sum_over_root_tasks_cancellable,
+    count_benchmark_parallel_with, count_plan_parallel_trace, count_plan_parallel_with,
+    try_count_multi_parallel_with, try_count_plan_parallel_governed,
+    try_count_plan_parallel_shared, try_count_plan_parallel_with,
 };
 pub use scratch::{BitmapCache, ScratchArena};
 pub use sink::{CountSink, FnSink, ListSink, Sink};

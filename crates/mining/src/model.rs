@@ -1,16 +1,16 @@
 //! Model-checked harnesses for the mining crate's concurrency protocols.
 //!
-//! Each harness runs the *real* production types — [`StealPool`],
-//! [`CancelToken`], [`MemGauge`]/[`GaugeScope`] — under the
+//! Each harness runs the *real* production code — [`StealPool`], the
+//! parallel driver, [`CancelToken`], [`MemGauge`]/[`GaugeScope`] — under the
 //! [`fingers_conc::model`] bounded schedule explorer and asserts an invariant
 //! that must hold in **every** interleaving within the preemption bound:
 //!
 //! 1. **Deque partition** — tasks claimed from a [`StealPool`] (including
 //!    through the steal-and-split path) always partition the seeded root
 //!    range: every root mined exactly once, none lost, none duplicated.
-//! 2. **Cancel all-or-nothing** — replicating the worker protocol of
-//!    `parallel::try_count_plan_parallel_governed`: if no worker observed
-//!    the token cancelled, the summed result covers every root.
+//! 2. **Cancel all-or-nothing** — the engine's own root-task driver
+//!    (`parallel::drive`) racing a `cancel()`: its verdict is either every
+//!    root or `Cancelled`.
 //! 3. **Gauge drain** — concurrent [`GaugeScope`] publishes into a
 //!    parent/child gauge chain always drain both gauges back to baseline,
 //!    and the recorded peak stays within the outstanding-publish envelope.
@@ -25,12 +25,11 @@
 //! (server crate) records the state-space statistics in
 //! `BENCH_conc_check.json`.
 
-use crate::cancel::CancelToken;
+use crate::cancel::{CancelKind, CancelToken};
 use crate::gauge::{GaugeScope, MemGauge};
-use crate::parallel::StealPool;
+use crate::parallel::{drive, StealPool};
 use crate::task::MiningTask;
 use fingers_conc::model::{check, CheckOptions, CheckReport};
-use fingers_conc::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Roots seeded into the deque harnesses (kept tiny on purpose).
@@ -117,54 +116,44 @@ pub fn deque_racy_check(opts: CheckOptions) -> CheckReport {
     })
 }
 
-/// Invariant 2: the cancel protocol of the governed parallel engine. A
-/// worker claims from a real pool and polls a real [`CancelToken`] at task
-/// boundaries, latching the shared `interrupted` flag exactly as
-/// `parallel.rs` workers do, while a second thread fires `cancel()` at an
-/// arbitrary point — including inside the window between two task claims,
-/// the only place a partial tally exists. All-or-nothing: if the worker
-/// never observed the cancel, its result must cover every root (an observed
-/// cancel makes the engine discard everything, so partial sums never leak).
-/// One worker keeps the space small; the multi-worker claim protocol is
-/// exhausted separately by the deque harnesses.
+/// Invariant 2: the cancel protocol of the parallel engine, run on the real
+/// driver (`parallel::drive`) with one worker on a model thread while a
+/// second thread fires `cancel()` at an arbitrary point — including inside
+/// the window between two task claims, the only place a partial tally
+/// exists. All-or-nothing: the driver's verdict is either the full root
+/// count or `Cancelled`, never a partial sum. One worker keeps the space
+/// small and keeps the driver on its model thread (it only spawns OS
+/// threads for two or more workers); the multi-worker claim protocol is
+/// exhausted separately by the deque harnesses. The per-task closure
+/// touches no instrumented primitive, so the driver's `catch_unwind` never
+/// sees the explorer's teardown unwinds.
 pub fn cancel_all_or_nothing_check(opts: CheckOptions) -> CheckReport {
     check("cancel-all-or-nothing", opts, |sim| {
-        let roots = 2u32;
-        let tasks = MiningTask::partition(roots as usize, 2);
-        let pool = Arc::new(StealPool::new(&tasks, 1));
+        let roots = 2usize;
         let token = CancelToken::new();
-        let interrupted = Arc::new(AtomicBool::new(false));
         let worker = {
-            let pool = Arc::clone(&pool);
             let token = token.clone();
-            let interrupted = Arc::clone(&interrupted);
             sim.spawn(move || {
-                let mut local = 0u64;
-                loop {
-                    if token.is_cancelled() {
-                        // ord: relaxed(mirrors the production worker protocol under test)
-                        interrupted.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    let Some(t) = pool.claim(0) else { break };
-                    local += t.len() as u64;
-                }
-                local
+                drive(roots, 1, true, &token, || (), |(), t| Ok(t.len() as u64))
+                    .map(|(total, _)| total)
             })
         };
         let canceller = {
             let token = token.clone();
             sim.spawn(move || token.cancel())
         };
-        let total: u64 = worker.join();
+        let verdict = worker.join();
         canceller.join();
-        // ord: relaxed(verdict read after the worker has joined)
-        if !interrupted.load(Ordering::Relaxed) {
-            assert_eq!(
-                total,
-                u64::from(roots),
+        match verdict {
+            Ok(total) => assert_eq!(
+                total, roots as u64,
                 "uncancelled verdict requires every root mined exactly once"
-            );
+            ),
+            Err(e) => assert_eq!(
+                e.cancel_kind(),
+                Some(CancelKind::Explicit),
+                "the only failure is the cancel: {e}"
+            ),
         }
     })
 }

@@ -17,20 +17,27 @@
 //!   index from one shared atomic — the PR-2 baseline, kept as the
 //!   `steal_balance` benchmark's comparison point.
 //!
-//! Each worker owns one [`PlanMiner`] (and therefore one scratch arena)
-//! for its whole lifetime, and reduces into a private `u64`. The final
-//! reduction is a sum of per-task partial counts: each task's count is a
-//! pure function of its root range, and addition over `u64` is commutative
-//! and associative, so the result is **bit-identical** to the sequential
-//! count regardless of thread count or steal schedule — the determinism
-//! tests assert exactly this (DESIGN.md §14).
+//! One private driver runs every entry point: it partitions the roots,
+//! spawns the workers (or runs the only one on the caller's thread),
+//! isolates each task with `catch_unwind`, polls the cancellation token
+//! before each claim, and turns the run into one verdict. The plan entry
+//! points hand it a closure that owns one [`PlanMiner`] (and therefore one
+//! scratch arena) per worker; the brute-force and ESU oracles hand it their
+//! counters through [`sum_over_root_tasks`].
+//!
+//! Each worker reduces into a private `u64`. The final reduction is a sum
+//! of per-task partial counts: each task's count is a pure function of its
+//! root range, and addition over `u64` is commutative and associative, so
+//! the result is **bit-identical** to the sequential count regardless of
+//! thread count or steal schedule — the determinism tests assert exactly
+//! this (DESIGN.md §14).
 
 use crate::cancel::{CancelKind, CancelToken};
 use crate::config::EngineConfig;
 use crate::error::{panic_message, EngineError, PartitionFailure};
-use crate::executor::{count_plan_with, MineOutcome, PlanMiner, RunHalt};
+use crate::executor::{MineOutcome, PlanMiner, RunHalt};
 use crate::gauge::MemGauge;
-use crate::sink::{CountSink, Sink};
+use crate::sink::CountSink;
 use crate::task::MiningTask;
 use fingers_conc::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use fingers_conc::sync::{Mutex, PoisonError};
@@ -210,66 +217,26 @@ impl<'t> TaskSource<'t> {
     }
 }
 
-/// Counts embeddings of `plan` in `graph` using `threads` workers, with the
-/// default [`EngineConfig`].
-///
-/// Deterministic: returns exactly [`crate::count_plan`]'s value for every
-/// thread count (the reduction is an order-independent `u64` sum).
-/// `threads == 0` is treated as 1.
-///
-/// # Panics
-///
-/// Re-raises any panic from a worker thread (none occur for plans produced
-/// by the compiler; see the invariants documented on [`PlanMiner`]).
-pub fn count_plan_parallel(graph: &CsrGraph, plan: &ExecutionPlan, threads: usize) -> u64 {
-    count_plan_parallel_with(graph, plan, threads, &EngineConfig::default())
-}
-
 /// Counts embeddings of `plan` using `threads` workers under an explicit
 /// engine config.
 ///
-/// The hub set is identified once here and shared (`Arc`) across workers;
-/// each worker still owns its private bitmap cache, so the hot path stays
-/// synchronization-free. Counts are identical for every config and thread
-/// count.
+/// Deterministic: returns exactly [`crate::count_plan_with`]'s value for
+/// every thread count and config (the reduction is an order-independent
+/// `u64` sum). `threads == 0` is treated as 1.
+///
+/// # Panics
+///
+/// On any [`EngineError`] of [`try_count_plan_parallel_with`] — a worker
+/// panic (none occur for plans produced by the compiler; see the
+/// invariants documented on [`PlanMiner`]), an unsound plan, or a blown
+/// `config.query_mem_budget`.
 pub fn count_plan_parallel_with(
     graph: &CsrGraph,
     plan: &ExecutionPlan,
     threads: usize,
     config: &EngineConfig,
 ) -> u64 {
-    let threads = effective_threads(threads, graph.vertex_count());
-    if threads <= 1 {
-        return count_plan_with(graph, plan, config);
-    }
-    let hubs = config.hub_set(graph);
-    let tasks = MiningTask::partition(graph.vertex_count(), threads * TASKS_PER_WORKER);
-    let source = TaskSource::new(&tasks, threads, config.work_stealing);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|me| {
-                let source = &source;
-                let hubs = hubs.clone();
-                scope.spawn(move || {
-                    let mut miner = PlanMiner::with_hubs(graph, plan, hubs, config);
-                    let mut sink = CountSink::default();
-                    while let Some(task) = source.claim(me) {
-                        miner.run(task, &mut sink);
-                    }
-                    sink.count
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            // §11: the infallible API treats a worker panic as fatal —
-            // propagating it here is the documented policy, not a bug.
-            .map(
-                #[allow(clippy::expect_used)] // §11: justified above
-                |w| w.join().expect("mining worker panicked"),
-            )
-            .sum()
-    })
+    or_panic(try_count_plan_parallel_with(graph, plan, threads, config))
 }
 
 /// [`count_plan_parallel_with`] plus a schedule trace: returns the count
@@ -284,62 +251,30 @@ pub fn count_plan_parallel_with(
 /// imbalance the experiment exists to show). The count is bit-identical
 /// to [`count_plan_parallel_with`]; the trace's tasks partition
 /// `[0, |V|)` for every scheduler and thread count.
+///
+/// # Panics
+///
+/// As [`count_plan_parallel_with`].
 pub fn count_plan_parallel_trace(
     graph: &CsrGraph,
     plan: &ExecutionPlan,
     threads: usize,
     config: &EngineConfig,
 ) -> (u64, Vec<Vec<MiningTask>>) {
-    let threads = effective_threads(threads, graph.vertex_count());
     let hubs = config.hub_set(graph);
-    let tasks = MiningTask::partition(graph.vertex_count(), threads * TASKS_PER_WORKER);
-    let source = TaskSource::new(&tasks, threads, config.work_stealing);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|me| {
-                let source = &source;
-                let hubs = hubs.clone();
-                scope.spawn(move || {
-                    let mut miner = PlanMiner::with_hubs(graph, plan, hubs, config);
-                    let mut sink = CountSink::default();
-                    let mut trace = Vec::new();
-                    while let Some(task) = source.claim(me) {
-                        trace.push(task.clone());
-                        miner.run(task, &mut sink);
-                    }
-                    (sink.count, trace)
-                })
-            })
-            .collect();
-        let mut total = 0u64;
-        let mut traces = Vec::with_capacity(threads);
-        for w in workers {
-            // §11: same policy as the infallible entry point above — a
-            // worker panic is fatal for the untraced and traced paths alike.
-            #[allow(clippy::expect_used)] // §11: justified above
-            let (count, trace) = w.join().expect("mining worker panicked");
-            total += count;
-            traces.push(trace);
-        }
-        (total, traces)
-    })
+    or_panic(mine_plan(
+        graph,
+        plan,
+        threads,
+        config,
+        hubs,
+        &CancelToken::new(),
+        None,
+    ))
 }
 
-/// Fallible counterpart of [`count_plan_parallel`]: worker panics are
-/// isolated per task instead of aborting the process.
-///
-/// # Errors
-///
-/// Returns [`EngineError::WorkerPanic`] naming every failed root partition.
-pub fn try_count_plan_parallel(
-    graph: &CsrGraph,
-    plan: &ExecutionPlan,
-    threads: usize,
-) -> Result<u64, EngineError> {
-    try_count_plan_parallel_with(graph, plan, threads, &EngineConfig::default())
-}
-
-/// Fallible counterpart of [`count_plan_parallel_with`].
+/// Fallible counterpart of [`count_plan_parallel_with`]: a failed run
+/// returns its typed error instead of panicking.
 ///
 /// Every task runs under `catch_unwind`; a panicking task is recorded (with
 /// its root partition and panic message), the worker's miner is rebuilt —
@@ -348,12 +283,10 @@ pub fn try_count_plan_parallel(
 /// failure the whole count is discarded: a partial count would silently
 /// under-report.
 ///
-/// On success the count is bit-identical to [`count_plan_parallel_with`].
-///
 /// # Errors
 ///
-/// Returns [`EngineError::WorkerPanic`] carrying the failed partitions in
-/// ascending root order.
+/// As [`try_count_plan_parallel_governed`]; [`EngineError::Cancelled`]
+/// cannot occur (the token is private to the call).
 pub fn try_count_plan_parallel_with(
     graph: &CsrGraph,
     plan: &ExecutionPlan,
@@ -370,8 +303,8 @@ pub fn try_count_plan_parallel_with(
     )
 }
 
-/// The engine's full-featured counting entry point: fallible, cancellable,
-/// and hub-sharing. Everything `try_count_plan_parallel_with` does, plus:
+/// [`try_count_plan_parallel_with`] with a caller-owned hub set and
+/// cancellation token:
 ///
 /// - `hubs` is taken pre-identified instead of recomputed, so a resident
 ///   graph store (the service's storage layer) can run top-k hub selection
@@ -379,22 +312,19 @@ pub fn try_count_plan_parallel_with(
 ///   ever touches the graph;
 /// - `cancel` is polled by every worker at root-task boundaries (between
 ///   claimed tasks *and* between level-0 roots inside a task, via
-///   [`PlanMiner::run_cancellable`]); once it fires, all workers stop
+///   [`PlanMiner::run_governed`]); once it fires, all workers stop
 ///   promptly, every partial count is discarded, and the call returns
 ///   [`EngineError::Cancelled`] — never a partial total.
 ///
 /// On success the count is bit-identical to [`count_plan_parallel_with`]
-/// for every thread count, token state, and hub set: cancellation is
-/// observed or it is not, and an uncancelled run reduces the same
-/// per-worker sums. A run that *completes* just as its deadline passes
-/// still returns its (complete, correct) count: cancellation is only
-/// reported when a worker actually stopped early.
+/// for every thread count, token state, and hub set. A run that
+/// *completes* just as its deadline passes still returns its (complete,
+/// correct) count: cancellation is only reported when a worker actually
+/// stopped early.
 ///
 /// # Errors
 ///
-/// [`EngineError::InvalidPlan`] before any worker runs,
-/// [`EngineError::Cancelled`] when the token interrupted the run, and
-/// [`EngineError::WorkerPanic`] naming every failed root partition.
+/// As [`try_count_plan_parallel_governed`].
 pub fn try_count_plan_parallel_shared(
     graph: &CsrGraph,
     plan: &ExecutionPlan,
@@ -406,20 +336,23 @@ pub fn try_count_plan_parallel_shared(
     try_count_plan_parallel_governed(graph, plan, threads, config, hubs, cancel, None)
 }
 
-/// The governed form of [`try_count_plan_parallel_shared`]: everything it
-/// does, plus memory governance. When `config.query_mem_budget` is set or
-/// a `global_gauge` is supplied, the run meters its scratch footprint on a
-/// per-query gauge (a child of `global_gauge` when one is given, so the
-/// daemon's process-wide gauge sees every query's bytes). Workers publish
-/// at root-task boundaries — the cancellation cadence — and a budget
-/// violation aborts the whole run with
-/// [`EngineError::MemBudgetExceeded`] under the cancellation contract:
-/// all-or-nothing, no partial count, gauge back to baseline on return.
+/// The engine's full-featured counting entry point: everything
+/// [`try_count_plan_parallel_shared`] does, plus memory governance. When
+/// `config.query_mem_budget` is set or a `global_gauge` is supplied, the
+/// run meters its scratch footprint on a per-query gauge (a child of
+/// `global_gauge` when one is given, so the daemon's process-wide gauge
+/// sees every query's bytes). Workers publish at root-task boundaries —
+/// the cancellation cadence — and a budget violation aborts the whole run
+/// with [`EngineError::MemBudgetExceeded`] under the cancellation
+/// contract: all-or-nothing, no partial count, gauge back to baseline on
+/// return.
 ///
 /// # Errors
 ///
-/// Everything [`try_count_plan_parallel_shared`] returns, plus
-/// [`EngineError::MemBudgetExceeded`].
+/// [`EngineError::InvalidPlan`] before any worker runs; otherwise, in
+/// this precedence, [`EngineError::WorkerPanic`] naming every failed root
+/// partition, [`EngineError::Cancelled`] when the token interrupted the
+/// run, and [`EngineError::MemBudgetExceeded`].
 pub fn try_count_plan_parallel_governed(
     graph: &CsrGraph,
     plan: &ExecutionPlan,
@@ -429,6 +362,94 @@ pub fn try_count_plan_parallel_governed(
     cancel: &CancelToken,
     global_gauge: Option<&MemGauge>,
 ) -> Result<u64, EngineError> {
+    mine_plan(graph, plan, threads, config, hubs, cancel, global_gauge).map(|(total, _)| total)
+}
+
+/// Counts every pattern of a multi-plan with `threads` workers per plan.
+/// Hubs are identified once per call and shared by every plan. Per-pattern
+/// counts equal [`crate::count_multi_with`]'s exactly.
+///
+/// # Errors
+///
+/// Returns the first constituent plan's [`EngineError`] (per-plan counting
+/// stops at the first failing plan).
+pub fn try_count_multi_parallel_with(
+    graph: &CsrGraph,
+    multi: &MultiPlan,
+    threads: usize,
+    config: &EngineConfig,
+) -> Result<MineOutcome, EngineError> {
+    let hubs = config.hub_set(graph);
+    let cancel = CancelToken::new();
+    Ok(MineOutcome {
+        per_pattern: multi
+            .plans()
+            .iter()
+            .map(|p| {
+                try_count_plan_parallel_shared(graph, p, threads, config, hubs.clone(), &cancel)
+            })
+            .collect::<Result<_, _>>()?,
+    })
+}
+
+/// Counts a benchmark workload with `threads` workers per plan under an
+/// explicit engine config.
+///
+/// # Panics
+///
+/// As [`count_plan_parallel_with`].
+pub fn count_benchmark_parallel_with(
+    graph: &CsrGraph,
+    benchmark: Benchmark,
+    threads: usize,
+    config: &EngineConfig,
+) -> MineOutcome {
+    or_panic(try_count_multi_parallel_with(
+        graph,
+        &benchmark.plan(),
+        threads,
+        config,
+    ))
+}
+
+/// Runs `worker` once per root-range task on `threads` workers and sums
+/// the returned counts: the root-partitioned scaffold the brute-force and
+/// ESU oracles run on. Unlike the plan path, it draws no chaos site.
+///
+/// `worker(task)` must be a pure function of the task (plus captured shared
+/// state) for the sum to be schedule-independent.
+///
+/// # Panics
+///
+/// When any `worker` call panicked (after every task has run), naming
+/// each failed root partition and its panic message.
+pub fn sum_over_root_tasks<W>(vertex_count: usize, threads: usize, worker: W) -> u64
+where
+    W: Fn(&MiningTask) -> u64 + Sync,
+{
+    let run = drive(
+        vertex_count,
+        threads,
+        true,
+        &CancelToken::new(),
+        || (),
+        |(), task| Ok(worker(task)),
+    );
+    or_panic(run).0
+}
+
+/// The plan path over [`drive`]: verifies `plan`, sets up the per-query
+/// gauge, and runs one [`PlanMiner`] per worker. Returns the count and
+/// each worker's executed tasks.
+fn mine_plan(
+    graph: &CsrGraph,
+    plan: &ExecutionPlan,
+    threads: usize,
+    config: &EngineConfig,
+    hubs: Option<Arc<HubSet>>,
+    cancel: &CancelToken,
+    global_gauge: Option<&MemGauge>,
+) -> Result<(u64, Vec<Vec<MiningTask>>), EngineError> {
     // Fail fast before spawning anything: an unsound plan would read
     // unmaterialized buffers or miscount in every worker at once.
     let report = fingers_verify::verify(plan);
@@ -443,27 +464,74 @@ pub fn try_count_plan_parallel_governed(
     } else {
         None
     };
-    let threads = effective_threads(threads, graph.vertex_count());
-    let tasks = MiningTask::partition(graph.vertex_count(), threads * TASKS_PER_WORKER);
-    let source = TaskSource::new(&tasks, threads, config.work_stealing);
+    drive(
+        graph.vertex_count(),
+        threads,
+        config.work_stealing,
+        cancel,
+        || {
+            let mut miner = PlanMiner::with_hubs(graph, plan, hubs.clone(), config);
+            if let Some(gauge) = &query_gauge {
+                miner.attach_gauge(gauge.clone(), config.query_mem_budget);
+            }
+            miner
+        },
+        |miner, task| {
+            // Chaos worker-panic site: inside the per-task isolation, so an
+            // injected death surfaces exactly like a real one.
+            crate::chaos::maybe_panic_worker();
+            let mut sink = CountSink::default();
+            miner.run_governed(task.clone(), &mut sink, cancel)?;
+            Ok(sink.count)
+        },
+    )
+}
+
+/// The one root-task driver every parallel entry point runs on.
+///
+/// Partitions `[0, vertex_count)` into [`TASKS_PER_WORKER`] tasks per
+/// worker and runs the workers on scoped threads — or on the caller's
+/// thread when there is only one. Each worker builds its state with
+/// `init`, polls `cancel` before every claim, and runs each claimed task
+/// through `run` under `catch_unwind`. A panicking task is recorded with
+/// its root partition and the worker rebuilds its state (the panic may
+/// have left it mid-DFS) before claiming again, so every failure of a run
+/// is reported at once. A [`RunHalt`] from `run` stops that worker.
+///
+/// Returns the summed count and, per worker, the tasks it ran in claim
+/// order (one push per task, so the traced and untraced entry points
+/// share this one loop). The verdict's precedence is worker panic,
+/// then cancelled, then over budget: a panic is a bug worth reporting
+/// even in a run that was also cancelled, and a cancel is what the caller
+/// asked for, so it wins over an incidental budget halt.
+pub(crate) fn drive<S, I, R>(
+    vertex_count: usize,
+    threads: usize,
+    steal: bool,
+    cancel: &CancelToken,
+    init: I,
+    run: R,
+) -> Result<(u64, Vec<Vec<MiningTask>>), EngineError>
+where
+    I: Fn() -> S + Sync,
+    R: Fn(&mut S, &MiningTask) -> Result<u64, RunHalt> + Sync,
+{
+    let threads = effective_threads(threads, vertex_count);
+    let tasks = MiningTask::partition(vertex_count, threads * TASKS_PER_WORKER);
+    let source = TaskSource::new(&tasks, threads, steal);
     let failures: Mutex<Vec<PartitionFailure>> = Mutex::new(Vec::new());
     // Set by any worker that *observed* the token and stopped early; the
-    // final verdict reads this rather than the token so a run that finished
-    // all its tasks before the deadline passed is still a success.
+    // verdict reads this rather than the token so a run that finished all
+    // its tasks before the deadline passed is still a success.
     let interrupted = AtomicBool::new(false);
-    // Bytes in use at the boundary where some worker saw the budget blown
-    // (0 = no violation; a violation always involves used > budget ≥ 0).
+    // The largest used bytes some worker halted on, and the budget it
+    // crossed (0 = no violation; a violation always has used > budget ≥ 0).
     let over_budget = AtomicU64::new(0);
-    let new_miner = || {
-        let mut miner = PlanMiner::with_hubs(graph, plan, hubs.clone(), config);
-        if let Some(gauge) = &query_gauge {
-            miner.attach_gauge(gauge.clone(), config.query_mem_budget);
-        }
-        miner
-    };
+    let budget = AtomicU64::new(0);
     let worker = |me: usize| {
-        let mut miner = new_miner();
+        let mut state = init();
         let mut local = 0u64;
+        let mut claimed = Vec::new();
         loop {
             if cancel.is_cancelled() {
                 // ord: relaxed(flag only latches true; the scope join synchronizes before into_inner reads it)
@@ -471,24 +539,23 @@ pub fn try_count_plan_parallel_governed(
                 break;
             }
             let Some(task) = source.claim(me) else { break };
-            let mut sink = CountSink::default();
-            match catch_unwind(AssertUnwindSafe(|| {
-                // Chaos worker-panic site: inside the per-task isolation,
-                // so an injected death surfaces exactly like a real one.
-                crate::chaos::maybe_panic_worker();
-                miner.run_governed(task.clone(), &mut sink, cancel)
-            })) {
-                Ok(Ok(())) => local += sink.count,
+            match catch_unwind(AssertUnwindSafe(|| run(&mut state, &task))) {
+                Ok(Ok(n)) => local += n,
                 Ok(Err(RunHalt::Cancelled)) => {
-                    // Interrupted mid-task: the sink holds a partial tally
-                    // for this task — drop it and stop claiming.
+                    // Interrupted mid-task: the partial tally was never
+                    // added; stop claiming.
                     // ord: relaxed(flag only latches true; the scope join synchronizes before into_inner reads it)
                     interrupted.store(true, Ordering::Relaxed);
                     break;
                 }
-                Ok(Err(RunHalt::MemBudget { used_bytes, .. })) => {
+                Ok(Err(RunHalt::MemBudget {
+                    used_bytes,
+                    budget_bytes,
+                })) => {
                     // ord: relaxed(monotone max of a scalar; read only after the scope join)
                     over_budget.fetch_max(used_bytes, Ordering::Relaxed);
+                    // ord: relaxed(every worker stores the same config budget; read only after the scope join)
+                    budget.store(budget_bytes, Ordering::Relaxed);
                     break;
                 }
                 Err(payload) => {
@@ -497,37 +564,36 @@ pub fn try_count_plan_parallel_governed(
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
                         .push(PartitionFailure {
-                            task,
+                            task: task.clone(),
                             message: panic_message(payload),
                         });
-                    // The miner's scratch state is mid-DFS; rebuild it
-                    // before touching the next task.
-                    miner = new_miner();
+                    state = init();
                 }
             }
+            claimed.push(task);
         }
-        local
+        (local, claimed)
     };
-    let total: u64 = if threads <= 1 {
-        worker(0)
+    let per_worker: Vec<(u64, Vec<MiningTask>)> = if threads == 1 {
+        vec![worker(0)]
     } else {
         std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
+            let handles: Vec<_> = (0..threads)
                 .map(|me| {
                     let worker = &worker;
                     scope.spawn(move || worker(me))
                 })
                 .collect();
-            workers
+            handles
                 .into_iter()
-                // §11: each worker body is wrapped in catch_unwind, so the join
-                // handle itself cannot carry a panic; one escaping means the
+                // §11: each task runs under catch_unwind, so the join handle
+                // itself cannot carry a panic; one escaping means the
                 // isolation wrapper is broken.
                 .map(
                     #[allow(clippy::expect_used)] // §11: justified above
-                    |w| w.join().expect("isolated worker cannot panic"),
+                    |h| h.join().expect("isolated worker cannot panic"),
                 )
-                .sum()
+                .collect()
         })
     };
     let mut failures = failures.into_inner().unwrap_or_else(|p| p.into_inner());
@@ -550,316 +616,19 @@ pub fn try_count_plan_parallel_governed(
     if used_bytes > 0 {
         return Err(EngineError::MemBudgetExceeded {
             used_bytes,
-            // A MemBudget halt can only come from a governed miner, which
-            // only enforces a budget when the config carries one; 0 is an
-            // unreachable fallback.
-            budget_bytes: config.query_mem_budget.unwrap_or_default(),
+            budget_bytes: budget.into_inner(),
         });
     }
-    Ok(total)
+    let total = per_worker.iter().map(|(count, _)| count).sum();
+    Ok((
+        total,
+        per_worker.into_iter().map(|(_, claimed)| claimed).collect(),
+    ))
 }
 
-/// Fallible counterpart of [`count_multi_parallel`].
-///
-/// # Errors
-///
-/// Returns the first constituent plan's [`EngineError`] (per-plan counting
-/// stops at the first failing plan).
-pub fn try_count_multi_parallel(
-    graph: &CsrGraph,
-    multi: &MultiPlan,
-    threads: usize,
-) -> Result<MineOutcome, EngineError> {
-    try_count_multi_parallel_with(graph, multi, threads, &EngineConfig::default())
-}
-
-/// Fallible counterpart of [`count_multi_parallel_with`].
-///
-/// # Errors
-///
-/// Returns the first constituent plan's [`EngineError`].
-pub fn try_count_multi_parallel_with(
-    graph: &CsrGraph,
-    multi: &MultiPlan,
-    threads: usize,
-    config: &EngineConfig,
-) -> Result<MineOutcome, EngineError> {
-    Ok(MineOutcome {
-        per_pattern: multi
-            .plans()
-            .iter()
-            .map(|p| try_count_plan_parallel_with(graph, p, threads, config))
-            .collect::<Result<_, _>>()?,
-    })
-}
-
-/// Fallible counterpart of [`count_benchmark_parallel`].
-///
-/// # Errors
-///
-/// Returns the first constituent plan's [`EngineError`].
-pub fn try_count_benchmark_parallel(
-    graph: &CsrGraph,
-    benchmark: Benchmark,
-    threads: usize,
-) -> Result<MineOutcome, EngineError> {
-    try_count_multi_parallel(graph, &benchmark.plan(), threads)
-}
-
-/// Fallible counterpart of [`count_benchmark_parallel_with`].
-///
-/// # Errors
-///
-/// Returns the first constituent plan's [`EngineError`].
-pub fn try_count_benchmark_parallel_with(
-    graph: &CsrGraph,
-    benchmark: Benchmark,
-    threads: usize,
-    config: &EngineConfig,
-) -> Result<MineOutcome, EngineError> {
-    try_count_multi_parallel_with(graph, &benchmark.plan(), threads, config)
-}
-
-/// Counts every pattern of a multi-plan with `threads` workers per plan.
-///
-/// Per-pattern counts equal [`crate::count_multi`]'s exactly.
-pub fn count_multi_parallel(graph: &CsrGraph, multi: &MultiPlan, threads: usize) -> MineOutcome {
-    count_multi_parallel_with(graph, multi, threads, &EngineConfig::default())
-}
-
-/// Counts every pattern of a multi-plan with `threads` workers per plan
-/// under an explicit engine config.
-pub fn count_multi_parallel_with(
-    graph: &CsrGraph,
-    multi: &MultiPlan,
-    threads: usize,
-    config: &EngineConfig,
-) -> MineOutcome {
-    MineOutcome {
-        per_pattern: multi
-            .plans()
-            .iter()
-            .map(|p| count_plan_parallel_with(graph, p, threads, config))
-            .collect(),
-    }
-}
-
-/// Counts one of the paper's benchmark workloads with `threads` workers.
-pub fn count_benchmark_parallel(
-    graph: &CsrGraph,
-    benchmark: Benchmark,
-    threads: usize,
-) -> MineOutcome {
-    count_multi_parallel(graph, &benchmark.plan(), threads)
-}
-
-/// Counts a benchmark workload with `threads` workers under an explicit
-/// engine config.
-pub fn count_benchmark_parallel_with(
-    graph: &CsrGraph,
-    benchmark: Benchmark,
-    threads: usize,
-    config: &EngineConfig,
-) -> MineOutcome {
-    count_multi_parallel_with(graph, &benchmark.plan(), threads, config)
-}
-
-/// Runs `worker` once per claimed root-range task on each of `threads`
-/// scoped threads, summing the returned counts. The generic scaffold the
-/// brute-force and ESU oracles reuse for their root-partitioned variants.
-///
-/// `worker(task)` must be a pure function of the task (plus captured shared
-/// state) for the sum to be schedule-independent.
-///
-/// # Panics
-///
-/// Re-raises any panic from `worker`.
-pub fn sum_over_root_tasks<W>(vertex_count: usize, threads: usize, worker: W) -> u64
-where
-    W: Fn(&MiningTask) -> u64 + Sync,
-{
-    let threads = effective_threads(threads, vertex_count);
-    let tasks = MiningTask::partition(vertex_count, threads.max(1) * TASKS_PER_WORKER);
-    if threads <= 1 {
-        return tasks.iter().map(&worker).sum();
-    }
-    let source = TaskSource::new(&tasks, threads, true);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|me| {
-                let source = &source;
-                let worker = &worker;
-                scope.spawn(move || {
-                    let mut local = 0u64;
-                    while let Some(task) = source.claim(me) {
-                        local += worker(&task);
-                    }
-                    local
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            // §11: the oracle path has no panic isolation by design —
-            // a panic in the reference counter is always a bug.
-            .map(
-                #[allow(clippy::expect_used)] // §11: justified above
-                |w| w.join().expect("oracle worker panicked"),
-            )
-            .sum()
-    })
-}
-
-/// Fallible counterpart of [`sum_over_root_tasks`]: each `worker(task)`
-/// call runs under `catch_unwind`, panics are collected per task, and the
-/// remaining tasks still run. The panic-injection seam the fault-tolerance
-/// tests drive, and the scaffold fallible oracle variants can reuse.
-///
-/// # Errors
-///
-/// Returns [`EngineError::WorkerPanic`] carrying every failed partition in
-/// ascending root order.
-pub fn try_sum_over_root_tasks<W>(
-    vertex_count: usize,
-    threads: usize,
-    worker: W,
-) -> Result<u64, EngineError>
-where
-    W: Fn(&MiningTask) -> u64 + Sync,
-{
-    let threads = effective_threads(threads, vertex_count);
-    let tasks = MiningTask::partition(vertex_count, threads.max(1) * TASKS_PER_WORKER);
-    let source = TaskSource::new(&tasks, threads, true);
-    let failures: Mutex<Vec<PartitionFailure>> = Mutex::new(Vec::new());
-    let isolated = |me: usize| {
-        let mut local = 0u64;
-        while let Some(task) = source.claim(me) {
-            match catch_unwind(AssertUnwindSafe(|| worker(&task))) {
-                Ok(n) => local += n,
-                // lock: failures
-                Err(payload) => failures
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(PartitionFailure {
-                        task,
-                        message: panic_message(payload),
-                    }),
-            }
-        }
-        local
-    };
-    let total: u64 = if threads <= 1 {
-        isolated(0)
-    } else {
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|me| {
-                    let isolated = &isolated;
-                    scope.spawn(move || isolated(me))
-                })
-                .collect();
-            workers
-                .into_iter()
-                // §11: each worker body is wrapped in catch_unwind, so the join
-                // handle itself cannot carry a panic; one escaping means the
-                // isolation wrapper is broken.
-                .map(
-                    #[allow(clippy::expect_used)] // §11: justified above
-                    |w| w.join().expect("isolated worker cannot panic"),
-                )
-                .sum()
-        })
-    };
-    let mut failures = failures.into_inner().unwrap_or_else(|p| p.into_inner());
-    if failures.is_empty() {
-        Ok(total)
-    } else {
-        failures.sort_by_key(|f| f.task.start);
-        Err(EngineError::WorkerPanic { failures })
-    }
-}
-
-/// Cancellable counterpart of [`try_sum_over_root_tasks`]: workers
-/// additionally poll `cancel` before claiming each task and stop once it
-/// fires. The cancellation granularity is one task (the `worker` callback
-/// is opaque, so there is no per-root poll here); use the plan-mining
-/// entry points for finer response.
-///
-/// # Errors
-///
-/// [`EngineError::Cancelled`] when the token interrupted the run (the
-/// partial sum is discarded), else [`EngineError::WorkerPanic`] as for the
-/// plain variant.
-pub fn try_sum_over_root_tasks_cancellable<W>(
-    vertex_count: usize,
-    threads: usize,
-    cancel: &CancelToken,
-    worker: W,
-) -> Result<u64, EngineError>
-where
-    W: Fn(&MiningTask) -> u64 + Sync,
-{
-    let threads = effective_threads(threads, vertex_count);
-    let tasks = MiningTask::partition(vertex_count, threads.max(1) * TASKS_PER_WORKER);
-    let source = TaskSource::new(&tasks, threads, true);
-    let failures: Mutex<Vec<PartitionFailure>> = Mutex::new(Vec::new());
-    let interrupted = AtomicBool::new(false);
-    let isolated = |me: usize| {
-        let mut local = 0u64;
-        loop {
-            if cancel.is_cancelled() {
-                // ord: relaxed(flag only latches true; the scope join synchronizes before into_inner reads it)
-                interrupted.store(true, Ordering::Relaxed);
-                break;
-            }
-            let Some(task) = source.claim(me) else { break };
-            match catch_unwind(AssertUnwindSafe(|| worker(&task))) {
-                Ok(n) => local += n,
-                // lock: failures
-                Err(payload) => failures
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(PartitionFailure {
-                        task,
-                        message: panic_message(payload),
-                    }),
-            }
-        }
-        local
-    };
-    let total: u64 = if threads <= 1 {
-        isolated(0)
-    } else {
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|me| {
-                    let isolated = &isolated;
-                    scope.spawn(move || isolated(me))
-                })
-                .collect();
-            workers
-                .into_iter()
-                // §11: each worker body is wrapped in catch_unwind, so the join
-                // handle itself cannot carry a panic; one escaping means the
-                // isolation wrapper is broken.
-                .map(
-                    #[allow(clippy::expect_used)] // §11: justified above
-                    |w| w.join().expect("isolated worker cannot panic"),
-                )
-                .sum()
-        })
-    };
-    let mut failures = failures.into_inner().unwrap_or_else(|p| p.into_inner());
-    if !failures.is_empty() {
-        failures.sort_by_key(|f| f.task.start);
-        return Err(EngineError::WorkerPanic { failures });
-    }
-    if interrupted.into_inner() {
-        return Err(EngineError::Cancelled {
-            kind: cancel.kind().unwrap_or(CancelKind::Explicit),
-        });
-    }
-    Ok(total)
+/// The infallible entry points' policy (§11): any engine error is fatal.
+fn or_panic<T>(result: Result<T, EngineError>) -> T {
+    result.unwrap_or_else(|e| panic!("mining run failed: {e}"))
 }
 
 /// Clamps a requested thread count to something useful: at least 1, and no
@@ -869,18 +638,10 @@ fn effective_threads(requested: usize, vertex_count: usize) -> usize {
     requested.max(1).min(vertex_count.max(1))
 }
 
-/// Mines `task` with a fresh sink and returns it — convenience for callers
-/// driving [`PlanMiner`] task-by-task (bench harness, tests).
-pub fn run_task<S: Sink + Default>(miner: &mut PlanMiner<'_, '_>, task: MiningTask) -> S {
-    let mut sink = S::default();
-    miner.run(task, &mut sink);
-    sink
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count_plan;
+    use crate::{count_plan, count_plan_with};
     use fingers_graph::gen::erdos_renyi;
     use fingers_pattern::{ExecutionPlan, Induced, Pattern};
 
@@ -896,7 +657,7 @@ mod tests {
             let expected = count_plan(&g, &plan);
             for threads in [0, 1, 2, 3, 4, 8] {
                 assert_eq!(
-                    count_plan_parallel(&g, &plan, threads),
+                    count_plan_parallel_with(&g, &plan, threads, &EngineConfig::default()),
                     expected,
                     "{p} at {threads} threads"
                 );
@@ -909,7 +670,11 @@ mod tests {
         let g = erdos_renyi(40, 150, 3);
         for b in [Benchmark::Mc3, Benchmark::Tc] {
             let seq = crate::count_benchmark(&g, b);
-            assert_eq!(count_benchmark_parallel(&g, b, 4), seq, "{b}");
+            assert_eq!(
+                count_benchmark_parallel_with(&g, b, 4, &EngineConfig::default()),
+                seq,
+                "{b}"
+            );
         }
     }
 
@@ -956,11 +721,6 @@ mod tests {
                     expected,
                     "{threads} threads under {cfg:?}"
                 );
-                assert_eq!(
-                    try_count_plan_parallel_with(&g, &plan, threads, &cfg).expect("no panic"),
-                    expected,
-                    "fallible path, {threads} threads under {cfg:?}"
-                );
             }
         }
     }
@@ -974,7 +734,10 @@ mod tests {
         let plan = ExecutionPlan::compile(&Pattern::triangle(), Induced::Vertex);
         let expected = count_plan(&g, &plan);
         for threads in [2, 8] {
-            assert_eq!(count_plan_parallel(&g, &plan, threads), expected);
+            assert_eq!(
+                count_plan_parallel_with(&g, &plan, threads, &EngineConfig::default()),
+                expected
+            );
         }
     }
 
@@ -1004,14 +767,20 @@ mod tests {
     fn more_threads_than_vertices_is_fine() {
         let g = erdos_renyi(5, 6, 1);
         let plan = ExecutionPlan::compile(&Pattern::triangle(), Induced::Vertex);
-        assert_eq!(count_plan_parallel(&g, &plan, 64), count_plan(&g, &plan));
+        assert_eq!(
+            count_plan_parallel_with(&g, &plan, 64, &EngineConfig::default()),
+            count_plan(&g, &plan)
+        );
     }
 
     #[test]
     fn empty_graph_parallel_counts_zero() {
         let g = fingers_graph::GraphBuilder::new().vertex_count(0).build();
         let plan = ExecutionPlan::compile(&Pattern::triangle(), Induced::Vertex);
-        assert_eq!(count_plan_parallel(&g, &plan, 4), 0);
+        assert_eq!(
+            count_plan_parallel_with(&g, &plan, 4, &EngineConfig::default()),
+            0
+        );
     }
 
     #[test]
@@ -1081,52 +850,14 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ungoverned_shared_entry_is_unchanged() {
-        let g = erdos_renyi(40, 150, 3);
-        let plan = ExecutionPlan::compile(&Pattern::triangle(), Induced::Vertex);
-        let cfg = EngineConfig::default();
-        assert_eq!(
-            try_count_plan_parallel_shared(
-                &g,
-                &plan,
-                4,
-                &cfg,
-                cfg.hub_set(&g),
-                &CancelToken::new()
-            )
-            .expect("no governance, no abort"),
-            count_plan(&g, &plan),
-        );
-    }
-
-    #[test]
-    fn try_count_matches_infallible_on_success() {
-        let g = erdos_renyi(60, 240, 11);
-        for p in [Pattern::triangle(), Pattern::clique(4)] {
-            let plan = ExecutionPlan::compile(&p, Induced::Vertex);
-            let expected = count_plan(&g, &plan);
-            for threads in [1, 2, 4] {
-                assert_eq!(
-                    try_count_plan_parallel(&g, &plan, threads).expect("no panic"),
-                    expected,
-                    "{p} at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn try_count_multi_matches_sequential() {
-        let g = erdos_renyi(40, 150, 3);
-        for b in [Benchmark::Mc3, Benchmark::Tc] {
-            let seq = crate::count_benchmark(&g, b);
-            assert_eq!(
-                try_count_benchmark_parallel(&g, b, 4).expect("no panic"),
-                seq,
-                "{b}"
-            );
-        }
+    /// The driver over 97 roots with a stateless per-task `count`, as the
+    /// oracles use it.
+    fn drive_sum(
+        threads: usize,
+        cancel: &CancelToken,
+        count: impl Fn(&MiningTask) -> u64 + Sync,
+    ) -> Result<u64, EngineError> {
+        drive(97, threads, true, cancel, || (), |(), t| Ok(count(t))).map(|(total, _)| total)
     }
 
     #[test]
@@ -1134,7 +865,7 @@ mod tests {
         // Panic in the task containing root 50; every other task still runs
         // and the process survives at every thread count.
         for threads in [1, 2, 4] {
-            let err = try_sum_over_root_tasks(97, threads, |t| {
+            let err = drive_sum(threads, &CancelToken::new(), |t| {
                 assert!(!t.roots().any(|r| r == 50), "injected failure");
                 t.len() as u64
             })
@@ -1153,7 +884,7 @@ mod tests {
         // Three poisoned roots in distinct partitions → three failures, in
         // ascending root order (a steal schedule has no global claim order).
         let poisoned = [5u32, 40, 90];
-        let err = try_sum_over_root_tasks(97, 2, |t| {
+        let err = drive_sum(2, &CancelToken::new(), |t| {
             if t.roots().any(|r| poisoned.contains(&r)) {
                 panic!("poisoned root in [{}, {})", t.start, t.end);
             }
@@ -1173,7 +904,7 @@ mod tests {
     #[test]
     fn isolated_scaffold_succeeds_without_failures() {
         for threads in [1, 3] {
-            let total = try_sum_over_root_tasks(97, threads, |t| t.len() as u64);
+            let total = drive_sum(threads, &CancelToken::new(), |t| t.len() as u64);
             assert_eq!(total.expect("no panics"), 97);
         }
     }
@@ -1260,14 +991,70 @@ mod tests {
     fn cancellable_scaffold_cancels_and_succeeds() {
         let cancel = CancelToken::new();
         for threads in [1, 3] {
-            let total =
-                try_sum_over_root_tasks_cancellable(97, threads, &cancel, |t| t.len() as u64);
+            let total = drive_sum(threads, &cancel, |t| t.len() as u64);
             assert_eq!(total.expect("live token"), 97);
         }
         cancel.cancel();
-        let err = try_sum_over_root_tasks_cancellable(97, 2, &cancel, |t| t.len() as u64)
-            .expect_err("cancelled");
+        let err = drive_sum(2, &cancel, |t| t.len() as u64).expect_err("cancelled");
         assert_eq!(err.cancel_kind(), Some(CancelKind::Explicit));
+    }
+
+    #[test]
+    fn worker_panic_outranks_cancel_and_budget_halt_is_typed() {
+        // Chaos-free: the closures raise each outcome directly, so nothing
+        // here touches the process-global chaos plan.
+        let halt = RunHalt::MemBudget {
+            used_bytes: 10,
+            budget_bytes: 4,
+        };
+        let has_50 = |t: &MiningTask| t.roots().any(|r| r == 50);
+        for threads in [1, 2] {
+            // A task panics after cancelling the token, and the worker then
+            // observes the cancel at its next claim: the panic wins.
+            let cancel = CancelToken::new();
+            let err = drive(
+                97,
+                threads,
+                true,
+                &cancel,
+                || (),
+                |(), t| {
+                    if has_50(t) {
+                        cancel.cancel();
+                        panic!("panic beside a cancel");
+                    }
+                    Ok(t.len() as u64)
+                },
+            )
+            .expect_err("panic must fail the run");
+            assert_eq!(err.failed_partitions().len(), 1, "{err}");
+
+            // A budget halt alone is typed with the halt's bytes.
+            let err = drive(
+                97,
+                threads,
+                true,
+                &CancelToken::new(),
+                || (),
+                |(), t| {
+                    if has_50(t) {
+                        return Err(halt);
+                    }
+                    Ok(t.len() as u64)
+                },
+            )
+            .expect_err("budget halt must fail the run");
+            assert_eq!(err.mem_budget(), Some((10, 4)), "{err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "poisoned oracle task")]
+    fn sum_over_root_tasks_panics_naming_the_failure() {
+        sum_over_root_tasks(97, 2, |t| {
+            assert!(!t.roots().any(|r| r == 50), "poisoned oracle task");
+            t.len() as u64
+        });
     }
 
     #[test]

@@ -163,7 +163,6 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     "crates/mining/src/cancel.rs",
     "crates/mining/src/chaos.rs",
     "crates/mining/src/gauge.rs",
-    "crates/mining/src/model.rs",
     "crates/mining/src/parallel.rs",
     "crates/server/src/daemon.rs",
     "crates/server/src/model.rs",

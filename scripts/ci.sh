@@ -61,6 +61,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The repository benchmark (perfbench/) is its own cargo workspace with path
+# dependencies on the engine crates, so no workspace step builds it; its unit
+# tests catch engine API changes that would break the benchmark.
+echo "==> perfbench unit tests"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Smoke-run the bitmap-kernel microbench: --quick does one iteration per
 # shape and asserts all three kernel tiers produce identical outputs (the
 # non-timing check); pointing FINGERS_RESULTS_DIR at a nonexistent path

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use fingers_repro::core::chip::simulate_fingers;
 use fingers_repro::core::config::{ChipConfig, PeConfig};
 use fingers_repro::graph::{CsrGraph, GraphBuilder, VertexId};
-use fingers_repro::mining::{count_benchmark, count_benchmark_parallel};
+use fingers_repro::mining::{count_benchmark, count_benchmark_parallel_with, EngineConfig};
 use fingers_repro::pattern::benchmarks::Benchmark;
 use fingers_repro::setops::{
     bitmap, galloping, merge, segmented, simd, SegmentedConfig, SetOpKind,
@@ -154,7 +154,6 @@ proptest! {
         slots in 0usize..4,
         threads in 1usize..4,
     ) {
-        use fingers_repro::mining::{count_benchmark_parallel_with, EngineConfig};
         let cfg = EngineConfig {
             bitmap_hubs: hubs,
             bitmap_cache_slots: slots,
@@ -179,7 +178,6 @@ proptest! {
         hubs in 0usize..20,
         threads in 1usize..4,
     ) {
-        use fingers_repro::mining::{count_benchmark_parallel_with, EngineConfig};
         let fused = EngineConfig { bitmap_hubs: hubs, ..EngineConfig::default() };
         let unfused = EngineConfig {
             bitmap_hubs: hubs,
@@ -206,7 +204,6 @@ proptest! {
         use_simd in proptest::option::of(0u8..1).prop_map(|o| o.is_none()),
         steal in proptest::option::of(0u8..1).prop_map(|o| o.is_none()),
     ) {
-        use fingers_repro::mining::{count_benchmark_parallel_with, EngineConfig};
         let cfg = EngineConfig {
             bitmap_hubs: hubs,
             simd: use_simd,
@@ -233,7 +230,7 @@ proptest! {
     ) {
         for bench in [Benchmark::Tc, Benchmark::Cyc, Benchmark::Mc3] {
             prop_assert_eq!(
-                count_benchmark_parallel(&g, bench, threads),
+                count_benchmark_parallel_with(&g, bench, threads, &EngineConfig::default()),
                 count_benchmark(&g, bench),
                 "{} at {} threads", bench, threads
             );
