@@ -16,9 +16,7 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use fingers_graph::CsrGraph;
-use fingers_mining::{
-    count_plan_parallel_with, try_count_plan_parallel_shared, CancelToken, EngineConfig,
-};
+use fingers_mining::{count_plan_with, try_count_plan_parallel_shared, CancelToken, EngineConfig};
 use fingers_pattern::{parse_pattern, ExecutionPlan, Induced};
 use proptest::prelude::*;
 
@@ -41,8 +39,10 @@ fn plan() -> &'static ExecutionPlan {
     })
 }
 
+/// The reference count, from the serial engine: it shares no partition,
+/// claim or verdict code with the parallel driver under test.
 fn serial_count(config: &EngineConfig) -> u64 {
-    count_plan_parallel_with(graph(), plan(), 1, config)
+    count_plan_with(graph(), plan(), config)
 }
 
 fn config_for(simd: bool, stealing: bool) -> EngineConfig {

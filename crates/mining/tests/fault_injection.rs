@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use fingers_graph::CsrGraph;
 use fingers_mining::chaos::{self, ChaosPlan, ChaosSite};
 use fingers_mining::{
-    count_plan_parallel_with, try_count_plan_parallel_with, CancelToken, EngineConfig, EngineError,
+    count_plan_with, try_count_plan_parallel_with, CancelToken, EngineConfig, EngineError,
 };
 use fingers_pattern::{parse_pattern, ExecutionPlan, Induced};
 
@@ -35,6 +35,16 @@ fn with_chaos<R>(plan: ChaosPlan, f: impl FnOnce() -> R) -> R {
     }
     let _clear = Clear;
     chaos::install(plan);
+    f()
+}
+
+/// Runs `f` under the chaos lock with no plan installed, so a chaos-free
+/// reference run neither draws from nor is hit by another test's plan.
+fn without_chaos<R>(f: impl FnOnce() -> R) -> R {
+    let _guard = CHAOS_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    assert!(!chaos::active());
     f()
 }
 
@@ -86,7 +96,7 @@ fn injected_alloc_failures_are_typed_and_recovery_is_bit_identical() {
     let g = graph();
     let p = plan("4cl");
     let config = EngineConfig::default();
-    let baseline = count_plan_parallel_with(&g, &p, 1, &config);
+    let baseline = without_chaos(|| count_plan_with(&g, &p, &config));
     let err = with_chaos(
         ChaosPlan {
             alloc_per_mille: 1000,
@@ -104,8 +114,8 @@ fn injected_alloc_failures_are_typed_and_recovery_is_bit_identical() {
         matches!(err, EngineError::WorkerPanic { .. }),
         "a simulated allocation failure surfaces as an isolated worker panic: {err:?}"
     );
-    let recovered =
-        try_count_plan_parallel_with(&g, &p, 1, &config).expect("chaos-free run succeeds");
+    let recovered = without_chaos(|| try_count_plan_parallel_with(&g, &p, 1, &config))
+        .expect("chaos-free run succeeds");
     assert_eq!(recovered, baseline, "recovery run is bit-identical");
 }
 
@@ -168,13 +178,12 @@ fn chaos_survives_alongside_cancellation_and_budget_contracts() {
 
 #[test]
 fn uninstalled_chaos_runs_are_untouched() {
-    let _guard = CHAOS_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    assert!(!chaos::active());
     let g = graph();
     let p = plan("tc");
     let config = EngineConfig::default();
-    let count = try_count_plan_parallel_with(&g, &p, 4, &config).expect("chaos-free run succeeds");
-    assert_eq!(count, count_plan_parallel_with(&g, &p, 1, &config));
+    without_chaos(|| {
+        let count =
+            try_count_plan_parallel_with(&g, &p, 4, &config).expect("chaos-free run succeeds");
+        assert_eq!(count, count_plan_with(&g, &p, &config));
+    });
 }
