@@ -29,10 +29,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fingers_graph::CsrGraph;
-use fingers_mining::chaos::{self, ChaosPlan, ChaosSite};
+use fingers_mining::chaos::{self, Chaos, ChaosPlan, ChaosSite};
 use fingers_mining::{try_count_multi_parallel_with, EngineConfig};
 use fingers_pattern::{Induced, MultiPlan};
-use fingers_server::{Client, Daemon, DaemonConfig, Json, RetryPolicy, SchedulerConfig};
+use fingers_server::{Client, Daemon, DaemonConfig, GraphSpec, Json, RetryPolicy, SchedulerConfig};
 
 use crate::report::write_json;
 
@@ -184,16 +184,6 @@ fn quiet_chaos_panics() {
     });
 }
 
-/// Clears the process-global chaos plan even when the storm panics, so a
-/// failing soak cannot leak faults into later sections of a full run.
-struct ChaosGuard;
-
-impl Drop for ChaosGuard {
-    fn drop(&mut self) {
-        chaos::clear();
-    }
-}
-
 /// Serial, ungoverned baseline counts for every `Expect::Ok` class.
 // §11: the baseline runs chaos-free on clean generated graphs; a failure
 // there is a harness bug the panic-isolated section reports.
@@ -222,22 +212,14 @@ fn baselines() -> Vec<Option<Vec<u64>>> {
 // §11: generator specs are compile-time constants; see above.
 #[allow(clippy::expect_used)]
 fn load(spec: &str) -> CsrGraph {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let (n, m, seed) = (
-        parts[2].parse().expect("n"),
-        parts[3].parse().expect("m"),
-        parts[4].parse().expect("seed"),
-    );
-    match parts[1] {
-        "er" => fingers_graph::gen::erdos_renyi(n, m, seed),
-        _ => fingers_graph::gen::chung_lu_power_law(&fingers_graph::gen::ChungLuConfig::new(
-            n, m, seed,
-        )),
-    }
+    GraphSpec::parse(spec)
+        .and_then(|s| s.load())
+        .expect("soak graph spec loads")
 }
 
-/// Storms one seed: start a governed daemon, install the chaos plan, let
-/// retrying clients walk the mix, then verify recovery and drain state.
+/// Storms one seed: start a governed daemon whose engine carries the
+/// seed's fault injector, let retrying clients walk the mix, then disarm
+/// the injector and verify recovery and drain state.
 // §11: a daemon that cannot start or a stats/ping line that does not
 // parse is a harness bug the panic-isolated section reports.
 #[allow(clippy::expect_used)]
@@ -247,13 +229,29 @@ pub fn run_seed(seed: u64, quick: bool) -> SeedOutcome {
     let per_client = if quick { 20 } else { 100 };
     let socket =
         std::env::temp_dir().join(format!("fingers-soak-{seed}-{}.sock", std::process::id()));
+    // Rates are per *draw*, and the sites draw at wildly different
+    // frequencies (the alloc site thousands of times per query, the socket
+    // site once per request), so the per-site cap is what shapes the
+    // storm: faults front-load while the cap fills, then the tail of the
+    // storm observes recovery and drain.
+    let chaos = Chaos::new(ChaosPlan {
+        alloc_per_mille: 2,
+        worker_panic_per_mille: 5,
+        sched_worker_per_mille: 30,
+        socket_io_per_mille: 20,
+        max_per_site: if quick { 6 } else { 15 },
+        ..ChaosPlan::quiet(seed)
+    });
     let daemon = Daemon::start(DaemonConfig {
         socket: socket.clone(),
         graphs: vec![
             ("pl".to_owned(), PL_SPEC.to_owned()),
             ("er".to_owned(), ER_SPEC.to_owned()),
         ],
-        engine: EngineConfig::default(),
+        engine: EngineConfig {
+            chaos: Some(Arc::clone(&chaos)),
+            ..EngineConfig::default()
+        },
         sched: SchedulerConfig {
             workers: 3,
             queue_depth: 16,
@@ -269,22 +267,6 @@ pub fn run_seed(seed: u64, quick: bool) -> SeedOutcome {
     })
     .expect("soak daemon starts");
     let expected = baselines();
-
-    let degraded_before = ping_stats(&socket).1;
-    let _guard = ChaosGuard;
-    // Rates are per *draw*, and the sites draw at wildly different
-    // frequencies (the alloc site thousands of times per query, the socket
-    // site once per request), so the per-site cap is what shapes the
-    // storm: faults front-load while the cap fills, then the tail of the
-    // storm observes recovery and drain.
-    chaos::install(ChaosPlan {
-        alloc_per_mille: 2,
-        worker_panic_per_mille: 5,
-        sched_worker_per_mille: 30,
-        socket_io_per_mille: 20,
-        max_per_site: if quick { 6 } else { 15 },
-        ..ChaosPlan::quiet(seed)
-    });
 
     let cursor = Arc::new(AtomicUsize::new(0));
     let cancel = crate::checkpoint::section_token();
@@ -322,12 +304,12 @@ pub fn run_seed(seed: u64, quick: bool) -> SeedOutcome {
         ChaosSite::SchedWorker,
         ChaosSite::SocketIo,
     ]
-    .map(|site| (site.name(), chaos::injected(site)));
-    chaos::clear();
+    .map(|site| (site.name(), chaos.injected(site)));
+    chaos.disarm();
 
     // The storm is over and chaos is off: the daemon must answer a fresh
     // connection, and the drained gauge must be exactly the plan cache.
-    let (survived, _, pool_rebuilds, gauge_peak_bytes) = ping_stats(&socket);
+    let (survived, pool_rebuilds, gauge_peak_bytes) = ping(&socket);
     let (gauge_final_bytes, gauge_baseline_bytes, degraded_after) = drained_gauge(&socket);
     assert_eq!(
         gauge_final_bytes, gauge_baseline_bytes,
@@ -347,7 +329,8 @@ pub fn run_seed(seed: u64, quick: bool) -> SeedOutcome {
         ok,
         typed_failures: typed.into_iter().collect(),
         transport_failures,
-        degradations: degraded_after.saturating_sub(degraded_before),
+        // The daemon started fresh, so every ladder step is the storm's.
+        degradations: degraded_after,
         pool_rebuilds,
         injected: injected.to_vec(),
         recovery_p99_ms: percentile(&recoveries, 99.0),
@@ -488,14 +471,11 @@ fn storm_client(
     series
 }
 
-/// `(answered, degraded-count, pool rebuilds, gauge peak)` from one fresh
-/// `ping` + `stats` round-trip; zeros when the daemon is unreachable.
-fn ping_stats(socket: &std::path::Path) -> (bool, u64, u64, u64) {
-    let Ok(mut client) = Client::connect(socket) else {
-        return (false, 0, 0, 0);
-    };
-    let Ok(line) = client.request(r#"{"op":"ping"}"#) else {
-        return (false, 0, 0, 0);
+/// `(answered, pool rebuilds, gauge peak)` from one fresh `ping`
+/// round-trip; zeros when the daemon is unreachable.
+fn ping(socket: &std::path::Path) -> (bool, u64, u64) {
+    let Ok(line) = Client::connect(socket).and_then(|mut c| c.request(r#"{"op":"ping"}"#)) else {
+        return (false, 0, 0);
     };
     let answered = Json::parse(&line)
         .ok()
@@ -513,17 +493,7 @@ fn ping_stats(socket: &std::path::Path) -> (bool, u64, u64, u64) {
         .ok()
         .and_then(|v| v.get("gauge_peak_bytes").and_then(Json::as_u64))
         .unwrap_or(0);
-    let degraded = client
-        .request(r#"{"op":"stats"}"#)
-        .ok()
-        .and_then(|l| Json::parse(&l).ok())
-        .and_then(|v| {
-            v.get("scheduler")
-                .and_then(|s| s.get("degraded"))
-                .and_then(Json::as_u64)
-        })
-        .unwrap_or(0);
-    (answered, degraded, rebuilds, peak)
+    (answered, rebuilds, peak)
 }
 
 /// `(gauge bytes, plan-cache bytes, degraded-count)` from `stats` once

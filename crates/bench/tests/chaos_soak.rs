@@ -1,6 +1,6 @@
-//! The chaos soak as an integration test: the full fixed seed matrix in
-//! its own process (the chaos plan is process-global, so the soak gets a
-//! binary to itself), quick storm sizing.
+//! The chaos soak as an integration test: the full fixed seed matrix at
+//! quick storm sizing. Each storm's fault injector rides on its own
+//! daemon's engine config, so nothing it injects reaches other tests.
 //!
 //! ci.sh runs this as the robustness gate; the full-size storm behind
 //! `BENCH_soak_chaos.json` runs through `run_all` / the `soak_chaos`

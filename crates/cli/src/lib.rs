@@ -1,7 +1,8 @@
 //! Library backing the `fingers-mine` command-line miner.
 //!
 //! Everything is testable as a library: argument parsing
-//! ([`Options::parse`]), graph-source resolution ([`GraphSource`]), and the
+//! ([`Options::parse`]), graph-source resolution ([`GraphSpec`], the
+//! grammar the daemon's `--load` shares), and the
 //! mining run itself ([`run`]) — `main` is a thin wrapper.
 //!
 //! ```text
@@ -19,11 +20,11 @@ use std::fmt;
 use fingers_core::chip::simulate_fingers;
 use fingers_core::config::{ChipConfig, PeConfig};
 use fingers_flexminer::{simulate_flexminer, FlexMinerChipConfig};
-use fingers_graph::datasets::Dataset;
 use fingers_graph::sanitize::SanitizeOptions;
 use fingers_graph::{reorder, CsrGraph, SanitizeReport};
 use fingers_mining::{oblivious, try_count_multi_parallel_with, EngineConfig, EngineError};
 use fingers_pattern::{parse_pattern, ExecutionPlan, Induced, MultiPlan, Pattern};
+use fingers_server::GraphSpec;
 use fingers_verify::{PlanMutation, VerifyReport};
 
 /// Mining engine selection.
@@ -40,38 +41,11 @@ pub enum Engine {
     Oblivious,
 }
 
-/// Where the input graph comes from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GraphSource {
-    /// A whitespace edge-list file path.
-    File(String),
-    /// One of the Table 1 stand-ins, by abbreviation (`dataset:Mi`).
-    Dataset(Dataset),
-    /// `gen:er:<n>:<m>:<seed>` — Erdős–Rényi.
-    ErdosRenyi {
-        /// Vertices.
-        n: usize,
-        /// Edges.
-        m: usize,
-        /// Seed.
-        seed: u64,
-    },
-    /// `gen:pl:<n>:<m>:<seed>` — Chung–Lu power law.
-    PowerLaw {
-        /// Vertices.
-        n: usize,
-        /// Edges.
-        m: usize,
-        /// Seed.
-        seed: u64,
-    },
-}
-
 /// Parsed command-line options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
     /// The input graph.
-    pub graph: GraphSource,
+    pub graph: GraphSpec,
     /// Patterns to mine (multi-pattern when more than one).
     pub patterns: Vec<Pattern>,
     /// Engine.
@@ -332,7 +306,9 @@ impl Options {
                     .ok_or_else(|| UsageError(format!("{name} requires a value")))
             };
             match arg.as_str() {
-                "--graph" => graph = Some(parse_graph_source(&value_for("--graph")?)?),
+                "--graph" => {
+                    graph = Some(GraphSpec::parse(&value_for("--graph")?).map_err(UsageError)?)
+                }
                 "--pattern" => {
                     let spec = value_for("--pattern")?;
                     let p = parse_pattern(&spec)
@@ -891,62 +867,6 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-fn parse_graph_source(spec: &str) -> Result<GraphSource, UsageError> {
-    if let Some(abbrev) = spec.strip_prefix("dataset:") {
-        let dataset = Dataset::ALL
-            .into_iter()
-            .find(|d| {
-                d.abbrev().eq_ignore_ascii_case(abbrev) || d.name().eq_ignore_ascii_case(abbrev)
-            })
-            .ok_or_else(|| UsageError(format!("unknown dataset {abbrev:?}")))?;
-        return Ok(GraphSource::Dataset(dataset));
-    }
-    if let Some(rest) = spec.strip_prefix("gen:") {
-        let parts: Vec<&str> = rest.split(':').collect();
-        if parts.len() != 4 {
-            return Err(UsageError(format!(
-                "generator spec {spec:?} must be gen:<er|pl>:<n>:<m>:<seed>"
-            )));
-        }
-        let parse_num = |s: &str, what: &str| {
-            s.parse::<u64>()
-                .map_err(|_| UsageError(format!("bad {what} in {spec:?}")))
-        };
-        let n = parse_num(parts[1], "vertex count")? as usize;
-        let m = parse_num(parts[2], "edge count")? as usize;
-        let seed = parse_num(parts[3], "seed")?;
-        return match parts[0] {
-            "er" => Ok(GraphSource::ErdosRenyi { n, m, seed }),
-            "pl" => Ok(GraphSource::PowerLaw { n, m, seed }),
-            other => Err(UsageError(format!("unknown generator {other:?}"))),
-        };
-    }
-    Ok(GraphSource::File(spec.to_owned()))
-}
-
-impl GraphSource {
-    /// Loads/generates the graph.
-    ///
-    /// # Errors
-    ///
-    /// I/O and parse errors for file sources.
-    pub fn load(&self) -> Result<CsrGraph, Box<dyn Error>> {
-        Ok(match self {
-            GraphSource::File(path) => {
-                let file = std::fs::File::open(path)?;
-                fingers_graph::io::read_edge_list(std::io::BufReader::new(file))?
-            }
-            GraphSource::Dataset(d) => d.load(),
-            GraphSource::ErdosRenyi { n, m, seed } => {
-                fingers_graph::gen::erdos_renyi(*n, *m, *seed)
-            }
-            GraphSource::PowerLaw { n, m, seed } => fingers_graph::gen::chung_lu_power_law(
-                &fingers_graph::gen::ChungLuConfig::new(*n, *m, *seed),
-            ),
-        })
-    }
-}
-
 /// Result of one mining run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOutcome {
@@ -981,7 +901,7 @@ pub fn json_report(options: &Options, outcome: &RunOutcome, wall_ms: f64) -> Str
 /// construction, so they never produce a report.
 fn load_graph(options: &Options) -> Result<(CsrGraph, Option<SanitizeReport>), CliError> {
     match &options.graph {
-        GraphSource::File(path) if options.sanitize || options.strict => {
+        GraphSpec::File(path) if options.sanitize || options.strict => {
             let file = std::fs::File::open(path)
                 .map_err(|e| CliError::GraphLoad(format!("{path}: {e}")))?;
             let (graph, report) = fingers_graph::io::read_edge_list_sanitized(
@@ -994,10 +914,7 @@ fn load_graph(options: &Options) -> Result<(CsrGraph, Option<SanitizeReport>), C
             }
             Ok((graph, Some(report)))
         }
-        source => source
-            .load()
-            .map(|g| (g, None))
-            .map_err(|e| CliError::GraphLoad(e.to_string())),
+        spec => spec.load().map(|g| (g, None)).map_err(CliError::GraphLoad),
     }
 }
 
@@ -1135,6 +1052,7 @@ pub fn run(options: &Options) -> Result<RunOutcome, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fingers_graph::datasets::Dataset;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -1148,7 +1066,7 @@ mod tests {
         .expect("valid");
         assert_eq!(
             o.graph,
-            GraphSource::ErdosRenyi {
+            GraphSpec::ErdosRenyi {
                 n: 100,
                 m: 300,
                 seed: 7
@@ -1164,9 +1082,9 @@ mod tests {
     #[test]
     fn dataset_and_file_sources() {
         let o = Options::parse(args("--graph dataset:Mi --pattern tc")).expect("valid");
-        assert_eq!(o.graph, GraphSource::Dataset(Dataset::Mico));
+        assert_eq!(o.graph, GraphSpec::Dataset(Dataset::Mico));
         let o = Options::parse(args("--graph edges.txt --pattern tc")).expect("valid");
-        assert_eq!(o.graph, GraphSource::File("edges.txt".into()));
+        assert_eq!(o.graph, GraphSpec::File("edges.txt".into()));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! ```
 //!
 //! Not everything should be ported. Statics requiring `const fn new` (signal
-//! flags, chaos-injection counters) stay on `std::sync::atomic` — the
-//! instrumented constructors allocate an object id at runtime, and signal
-//! handlers must remain async-signal-safe (no locks, no thread-locals).
+//! flags) stay on `std::sync::atomic` — the instrumented constructors
+//! allocate an object id at runtime, and signal handlers must remain
+//! async-signal-safe (no locks, no thread-locals).
 
 pub use std::sync::{LockResult, PoisonError};
 

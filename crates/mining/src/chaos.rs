@@ -21,15 +21,21 @@
 //! which query still varies with thread interleaving — that is the point
 //! of a soak).
 //!
-//! The plan is process-global (fault points live deep inside per-worker
-//! hot structures where threading a handle through every layer would cost
-//! more than it tests). When no plan is installed — the default, and the
-//! only supported state outside dedicated chaos tests — every probe is a
-//! single relaxed atomic load. Injected panics carry the
-//! [`CHAOS_PANIC_PREFIX`] marker so harnesses can tell injected faults
-//! from real bugs.
+//! A plan belongs to one run: [`Chaos::new`] wraps it with its own draw
+//! and injection counters, and the run carries that value in
+//! [`crate::EngineConfig::chaos`] to every probe it reaches (the
+//! worker-panic site in the parallel driver, the alloc sites in each
+//! worker's scratch arena and bitmap cache, the scheduler worker that
+//! dequeues the run's job, the daemon connection that serves it). A
+//! daemon whose `DaemonConfig::engine` carries a plan shares it across
+//! every query it serves, so there the run is the daemon's lifetime. Draw
+//! order is therefore a property of the run, and two runs in one process
+//! never fault each other. With `chaos: None` — the default — no probe
+//! draws at all. Injected panics carry the [`CHAOS_PANIC_PREFIX`] marker
+//! so harnesses can tell injected faults from real bugs.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Marker prefixing every chaos-injected panic message.
 pub const CHAOS_PANIC_PREFIX: &str = "chaos:";
@@ -121,72 +127,94 @@ impl ChaosPlan {
     }
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static SEED: AtomicU64 = AtomicU64::new(0);
-static CAP: AtomicU64 = AtomicU64::new(u64::MAX);
-static RATES: [AtomicU32; SITES] = [
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-];
-static DRAWS: [AtomicU64; SITES] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-static INJECTED: [AtomicU64; SITES] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+/// One run's fault injector: an immutable [`ChaosPlan`] plus per-site
+/// draw and injection counters and a disarm latch.
+///
+/// A run owns its `Chaos` through [`crate::EngineConfig::chaos`]; every
+/// probe that run reaches draws from this value alone, so concurrent runs
+/// in one process never see each other's faults or counters.
+#[derive(Debug)]
+pub struct Chaos {
+    plan: ChaosPlan,
+    armed: AtomicBool,
+    draws: [AtomicU64; SITES],
+    injected: [AtomicU64; SITES],
+}
 
-/// Installs `plan` process-wide and resets the draw/injection counters.
-/// Intended for dedicated chaos tests and the soak harness only; every
-/// other test must run with chaos uninstalled (integration-test binaries
-/// are separate processes, so a chaos suite cannot leak into its
-/// neighbours).
-pub fn install(plan: ChaosPlan) {
-    // ord: relaxed(plan fields; the ACTIVE release store below publishes them)
-    SEED.store(plan.seed, Ordering::Relaxed);
-    // ord: relaxed(plan fields; the ACTIVE release store below publishes them)
-    CAP.store(plan.max_per_site, Ordering::Relaxed);
-    for site in [
-        ChaosSite::Alloc,
-        ChaosSite::WorkerPanic,
-        ChaosSite::SchedWorker,
-        ChaosSite::SocketIo,
-    ] {
-        let i = site.index();
-        // ord: relaxed(plan fields; the ACTIVE release store below publishes them)
-        RATES[i].store(plan.rate(site), Ordering::Relaxed);
-        // ord: relaxed(plan fields; the ACTIVE release store below publishes them)
-        DRAWS[i].store(0, Ordering::Relaxed);
-        // ord: relaxed(plan fields; the ACTIVE release store below publishes them)
-        INJECTED[i].store(0, Ordering::Relaxed);
+impl Chaos {
+    /// An armed injector for `plan` with fresh counters.
+    pub fn new(plan: ChaosPlan) -> Arc<Self> {
+        Arc::new(Self {
+            plan,
+            armed: AtomicBool::new(true),
+            draws: Default::default(),
+            injected: Default::default(),
+        })
     }
-    // ord: release(publishes the plan fields stored above to any probe that acquires ACTIVE)
-    ACTIVE.store(true, Ordering::Release);
-}
 
-/// Uninstalls any active plan; every subsequent probe is a no-op again.
-pub fn clear() {
-    // ord: release(pairs with the probes' acquire load; uninstall needs no data handoff but stays symmetric)
-    ACTIVE.store(false, Ordering::Release);
-}
+    /// Turns every later probe into a no-op. A one-way latch: a soak
+    /// disarms before it checks recovery, and nothing re-arms.
+    pub fn disarm(&self) {
+        // ord: relaxed(one-way latch; no data is published through it)
+        self.armed.store(false, Ordering::Relaxed);
+    }
 
-/// Whether a chaos plan is currently installed.
-pub fn active() -> bool {
-    // ord: acquire(pairs with install's release store so the plan fields are visible)
-    ACTIVE.load(Ordering::Acquire)
-}
+    /// Faults injected so far at `site`.
+    pub fn injected(&self, site: ChaosSite) -> u64 {
+        // ord: relaxed(counter read after the run being measured has joined)
+        self.injected[site.index()].load(Ordering::Relaxed)
+    }
 
-/// Faults injected so far at `site` under the current plan.
-pub fn injected(site: ChaosSite) -> u64 {
-    // ord: relaxed(test-side counter read after the run being measured has joined)
-    INJECTED[site.index()].load(Ordering::Relaxed)
+    /// Draws one fault decision at `site`: `true` on the plan's
+    /// deterministic per-mille schedule, `false` once disarmed.
+    pub fn should_fail(&self, site: ChaosSite) -> bool {
+        let rate = self.plan.rate(site);
+        // ord: relaxed(one-way latch; no data is published through it)
+        if rate == 0 || !self.armed.load(Ordering::Relaxed) {
+            return false;
+        }
+        let i = site.index();
+        // ord: relaxed(independent draw ticket; cross-thread draw order is intentionally unspecified)
+        let draw = self.draws[i].fetch_add(1, Ordering::Relaxed);
+        // Salt the site index in so sites draw independent streams.
+        let hit = splitmix64(self.plan.seed ^ ((i as u64) << 56) ^ draw) % 1000 < u64::from(rate);
+        if !hit {
+            return false;
+        }
+        // A scheduled hit past the per-site ceiling is withheld (and not
+        // counted), so `injected()` never exceeds the cap.
+        // ord: relaxed(counter pair; over-reservation is corrected by the fetch_sub below)
+        if self.injected[i].fetch_add(1, Ordering::Relaxed) >= self.plan.max_per_site {
+            // ord: relaxed(undoes this thread's own reservation)
+            self.injected[i].fetch_sub(1, Ordering::Relaxed);
+            return false;
+        }
+        true
+    }
+
+    /// Probes the allocation site and panics — simulating the allocation
+    /// failure the real allocator would abort on — when the plan says so.
+    /// Callers sit under the engine's per-task `catch_unwind`, so the panic
+    /// surfaces as a typed [`crate::EngineError::WorkerPanic`], never a crash.
+    pub fn maybe_fail_alloc(&self, what: &str) {
+        if self.should_fail(ChaosSite::Alloc) {
+            panic!("{CHAOS_PANIC_PREFIX} injected allocation failure ({what})");
+        }
+    }
+
+    /// Probes the engine-worker site and panics when the plan says so.
+    pub fn maybe_panic_worker(&self) {
+        if self.should_fail(ChaosSite::WorkerPanic) {
+            panic!("{CHAOS_PANIC_PREFIX} injected mining-worker panic");
+        }
+    }
+
+    /// Probes the scheduler-worker site and panics when the plan says so.
+    pub fn maybe_panic_sched_worker(&self) {
+        if self.should_fail(ChaosSite::SchedWorker) {
+            panic!("{CHAOS_PANIC_PREFIX} injected scheduler-worker panic");
+        }
+    }
 }
 
 /// SplitMix64: the standard 64-bit finalizer, statistically strong enough
@@ -196,67 +224,6 @@ fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Draws one fault decision at `site`. `false` always when no plan is
-/// installed; otherwise `true` on the deterministic per-mille schedule.
-pub fn should_fail(site: ChaosSite) -> bool {
-    // Upgraded from relaxed: a probe observing ACTIVE=true must also see
-    // the seed/rates/cap stored by install before its release store.
-    // ord: acquire(pairs with install's release store, which publishes the plan fields)
-    if !ACTIVE.load(Ordering::Acquire) {
-        return false;
-    }
-    let i = site.index();
-    // ord: relaxed(plan fields are ordered by the ACTIVE acquire/release pair above)
-    let rate = RATES[i].load(Ordering::Relaxed);
-    if rate == 0 {
-        return false;
-    }
-    // ord: relaxed(independent draw ticket; cross-thread draw order is intentionally unspecified)
-    let draw = DRAWS[i].fetch_add(1, Ordering::Relaxed);
-    // ord: relaxed(plan fields are ordered by the ACTIVE acquire/release pair above)
-    let seed = SEED.load(Ordering::Relaxed);
-    // Salt the site index in so sites draw independent streams.
-    let hit = splitmix64(seed ^ ((i as u64) << 56) ^ draw) % 1000 < u64::from(rate);
-    if !hit {
-        return false;
-    }
-    // A scheduled hit past the per-site ceiling is withheld (and not
-    // counted), so `injected()` never exceeds the cap.
-    // ord: relaxed(plan fields are ordered by the ACTIVE acquire/release pair above)
-    let cap = CAP.load(Ordering::Relaxed);
-    // ord: relaxed(counter pair; over-reservation is corrected by the fetch_sub below)
-    if INJECTED[i].fetch_add(1, Ordering::Relaxed) >= cap {
-        // ord: relaxed(undoes this thread's own reservation)
-        INJECTED[i].fetch_sub(1, Ordering::Relaxed);
-        return false;
-    }
-    true
-}
-
-/// Probes the allocation site and panics — simulating the allocation
-/// failure the real allocator would abort on — when the plan says so.
-/// Callers sit under the engine's per-task `catch_unwind`, so the panic
-/// surfaces as a typed [`crate::EngineError::WorkerPanic`], never a crash.
-pub fn maybe_fail_alloc(what: &str) {
-    if should_fail(ChaosSite::Alloc) {
-        panic!("{CHAOS_PANIC_PREFIX} injected allocation failure ({what})");
-    }
-}
-
-/// Probes the engine-worker site and panics when the plan says so.
-pub fn maybe_panic_worker() {
-    if should_fail(ChaosSite::WorkerPanic) {
-        panic!("{CHAOS_PANIC_PREFIX} injected mining-worker panic");
-    }
-}
-
-/// Probes the scheduler-worker site and panics when the plan says so.
-pub fn maybe_panic_sched_worker() {
-    if should_fail(ChaosSite::SchedWorker) {
-        panic!("{CHAOS_PANIC_PREFIX} injected scheduler-worker panic");
-    }
 }
 
 /// Whether `message` (a panic payload) is a chaos-injected fault rather
@@ -269,26 +236,17 @@ pub fn is_chaos_panic(message: &str) -> bool {
 mod tests {
     use super::*;
 
-    /// All chaos unit tests share the process-global plan, so they run
-    /// under one lock (and restore the uninstalled state on exit).
-    fn with_plan<R>(plan: ChaosPlan, f: impl FnOnce() -> R) -> R {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        install(plan);
-        let r = f();
-        clear();
-        r
-    }
-
     #[test]
-    fn uninstalled_chaos_never_fires() {
-        clear();
-        assert!(!active());
+    fn disarmed_chaos_never_fires() {
+        let chaos = Chaos::new(ChaosPlan {
+            alloc_per_mille: 1000,
+            ..ChaosPlan::quiet(5)
+        });
+        chaos.disarm();
         for _ in 0..100 {
-            assert!(!should_fail(ChaosSite::Alloc));
+            assert!(!chaos.should_fail(ChaosSite::Alloc));
         }
+        assert_eq!(chaos.injected(ChaosSite::Alloc), 0);
     }
 
     #[test]
@@ -297,78 +255,71 @@ mod tests {
             worker_panic_per_mille: 250,
             ..ChaosPlan::quiet(42)
         };
-        let first: Vec<bool> = with_plan(plan, || {
+        let stream = |chaos: &Chaos| -> Vec<bool> {
             (0..200)
-                .map(|_| should_fail(ChaosSite::WorkerPanic))
+                .map(|_| chaos.should_fail(ChaosSite::WorkerPanic))
                 .collect()
-        });
-        let second: Vec<bool> = with_plan(plan, || {
-            (0..200)
-                .map(|_| should_fail(ChaosSite::WorkerPanic))
-                .collect()
-        });
+        };
+        let first = stream(&Chaos::new(plan));
+        let second = stream(&Chaos::new(plan));
         assert_eq!(first, second);
         let hits = first.iter().filter(|h| **h).count();
         assert!(hits > 10 && hits < 100, "250‰ over 200 draws hit {hits}×");
-        assert_eq!(with_plan(plan, || injected(ChaosSite::WorkerPanic)), 0);
+        assert_eq!(Chaos::new(plan).injected(ChaosSite::WorkerPanic), 0);
     }
 
     #[test]
     fn sites_draw_independent_streams() {
-        let plan = ChaosPlan {
+        let chaos = Chaos::new(ChaosPlan {
             alloc_per_mille: 500,
             socket_io_per_mille: 500,
             ..ChaosPlan::quiet(7)
-        };
-        let (a, s): (Vec<bool>, Vec<bool>) = with_plan(plan, || {
-            (
-                (0..64).map(|_| should_fail(ChaosSite::Alloc)).collect(),
-                (0..64).map(|_| should_fail(ChaosSite::SocketIo)).collect(),
-            )
         });
+        let a: Vec<bool> = (0..64)
+            .map(|_| chaos.should_fail(ChaosSite::Alloc))
+            .collect();
+        let s: Vec<bool> = (0..64)
+            .map(|_| chaos.should_fail(ChaosSite::SocketIo))
+            .collect();
         assert_ne!(a, s, "same-rate sites must not fire in lockstep");
     }
 
     #[test]
     fn injected_panics_carry_the_marker() {
-        let plan = ChaosPlan {
+        let chaos = Chaos::new(ChaosPlan {
             worker_panic_per_mille: 1000,
             ..ChaosPlan::quiet(1)
-        };
-        let message = with_plan(plan, || {
-            let payload = std::panic::catch_unwind(maybe_panic_worker)
-                .expect_err("1000‰ must fire on every draw");
-            crate::error::panic_message(payload)
         });
+        let payload = std::panic::catch_unwind(|| chaos.maybe_panic_worker())
+            .expect_err("1000‰ must fire on every draw");
+        let message = crate::error::panic_message(payload);
         assert!(is_chaos_panic(&message), "{message}");
         assert!(!is_chaos_panic("index out of bounds"));
     }
 
     #[test]
     fn per_site_cap_bounds_injections() {
-        let plan = ChaosPlan {
+        let chaos = Chaos::new(ChaosPlan {
             alloc_per_mille: 1000,
             max_per_site: 3,
             ..ChaosPlan::quiet(9)
-        };
-        with_plan(plan, || {
-            let hits = (0..50).filter(|_| should_fail(ChaosSite::Alloc)).count();
-            assert_eq!(hits, 3, "cap must stop a 1000‰ site after 3 faults");
-            assert_eq!(injected(ChaosSite::Alloc), 3);
         });
+        let hits = (0..50)
+            .filter(|_| chaos.should_fail(ChaosSite::Alloc))
+            .count();
+        assert_eq!(hits, 3, "cap must stop a 1000‰ site after 3 faults");
+        assert_eq!(chaos.injected(ChaosSite::Alloc), 3);
     }
 
     #[test]
-    fn zero_rate_site_never_fires_even_when_active() {
-        let plan = ChaosPlan {
+    fn zero_rate_site_never_fires_even_when_armed() {
+        let chaos = Chaos::new(ChaosPlan {
             socket_io_per_mille: 1000,
             ..ChaosPlan::quiet(3)
-        };
-        with_plan(plan, || {
-            for _ in 0..50 {
-                assert!(!should_fail(ChaosSite::Alloc));
-            }
-            assert!(should_fail(ChaosSite::SocketIo));
         });
+        for _ in 0..50 {
+            assert!(!chaos.should_fail(ChaosSite::Alloc));
+        }
+        assert!(chaos.should_fail(ChaosSite::SocketIo));
     }
 }

@@ -5,6 +5,8 @@ use std::sync::Arc;
 use fingers_graph::hubs::HubSet;
 use fingers_graph::CsrGraph;
 
+use crate::chaos::Chaos;
+
 /// Default number of top-degree vertices whose adjacencies are eligible
 /// for the dense-bitmap kernel tier. Power-law set-op time concentrates in
 /// hubs, but the crossover microbench showed the win keeps growing well
@@ -26,8 +28,9 @@ pub const DEFAULT_BITMAP_CACHE_SLOTS: usize = 1024;
 /// Every setting is performance-only: **counts are identical under every
 /// configuration** (all kernel tiers are property-tested equivalent), so
 /// configs can be swept freely in benchmarks without re-validating
-/// results.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// results. Two settings can abort a run instead: the memory budget and
+/// the fault injector. Neither ever changes what a completed run counts.
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// How many top-degree vertices get dense bitmaps (0 disables the
     /// bitmap tier entirely; merge/galloping dispatch still applies).
@@ -65,6 +68,12 @@ pub struct EngineConfig {
     /// identical under every configuration" guarantee still holds for
     /// every run that completes.
     pub query_mem_budget: Option<u64>,
+    /// This run's fault injector (`None` = no probe ever draws). Like the
+    /// budget, an injected fault can only abort a run with a typed error,
+    /// never change what a completed run counts. The run owns the
+    /// injector's draw and injection counters, so runs in one process
+    /// never see each other's faults.
+    pub chaos: Option<Arc<Chaos>>,
 }
 
 impl Default for EngineConfig {
@@ -76,6 +85,7 @@ impl Default for EngineConfig {
             simd: true,
             work_stealing: true,
             query_mem_budget: None,
+            chaos: None,
         }
     }
 }

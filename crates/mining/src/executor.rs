@@ -277,17 +277,21 @@ impl<'g, 'p> PlanMiner<'g, 'p> {
                 }
             })
             .collect(); // lint: allow-alloc(one-time interpreter construction, not per embedding)
+        let mut arena = ScratchArena::new();
+        arena.chaos = config.chaos.clone(); // lint: allow-alloc(Arc refcount bump, once per worker)
+        let mut cache = BitmapCache::new(config.bitmap_cache_slots);
+        cache.chaos = config.chaos.clone(); // lint: allow-alloc(Arc refcount bump, once per worker)
         Self {
             graph,
             plan,
-            arena: ScratchArena::new(),
+            arena,
             // lint: allow-alloc(one-time interpreter construction, not per embedding)
             mapped: Vec::with_capacity(k),
             sets: vec![None; k], // lint: allow-alloc(one-time interpreter construction, not per embedding)
             // lint: allow-alloc(one-time interpreter construction, not per embedding)
             undo: (0..k).map(|_| Vec::new()).collect(),
             hubs,
-            cache: BitmapCache::new(config.bitmap_cache_slots),
+            cache,
             bound_sources,
             fuse: config.fuse_terminal_counts,
             simd: config.simd,

@@ -69,7 +69,7 @@ pub mod sink;
 pub mod task;
 
 pub use cancel::{CancelKind, CancelToken};
-pub use chaos::{ChaosPlan, ChaosSite};
+pub use chaos::{Chaos, ChaosPlan, ChaosSite};
 pub use config::EngineConfig;
 pub use error::{EngineError, PartitionFailure};
 pub use executor::{

@@ -479,7 +479,9 @@ fn mine_plan(
         |miner, task| {
             // Chaos worker-panic site: inside the per-task isolation, so an
             // injected death surfaces exactly like a real one.
-            crate::chaos::maybe_panic_worker();
+            if let Some(chaos) = &config.chaos {
+                chaos.maybe_panic_worker();
+            }
             let mut sink = CountSink::default();
             miner.run_governed(task.clone(), &mut sink, cancel)?;
             Ok(sink.count)
@@ -1001,8 +1003,8 @@ mod tests {
 
     #[test]
     fn worker_panic_outranks_cancel_and_budget_halt_is_typed() {
-        // Chaos-free: the closures raise each outcome directly, so nothing
-        // here touches the process-global chaos plan.
+        // The closures raise each outcome directly; no chaos plan is
+        // involved.
         let halt = RunHalt::MemBudget {
             used_bytes: 10,
             budget_bytes: 4,

@@ -15,9 +15,13 @@
 //! allocations is bounded by the cache capacity — never by the number of
 //! embeddings or even the number of cache misses.
 
+use std::sync::Arc;
+
 use fingers_graph::{hubs, CsrGraph, VertexId};
 use fingers_setops::bitmap::NeighborBitmap;
 use fingers_setops::Elem;
+
+use crate::chaos::Chaos;
 
 /// A pool of reusable candidate-set buffers owned by one mining worker.
 ///
@@ -33,6 +37,8 @@ pub struct ScratchArena {
     /// memory governor reads it (in-flight growth shows up at the next
     /// recycle).
     bytes: u64,
+    /// The owning run's fault injector, probed on fresh allocations.
+    pub(crate) chaos: Option<Arc<Chaos>>,
 }
 
 impl ScratchArena {
@@ -55,7 +61,9 @@ impl ScratchArena {
             }
             None => {
                 self.fresh += 1;
-                crate::chaos::maybe_fail_alloc("scratch arena buffer");
+                if let Some(chaos) = &self.chaos {
+                    chaos.maybe_fail_alloc("scratch arena buffer");
+                }
                 Vec::new()
             }
         }
@@ -128,6 +136,8 @@ pub struct BitmapCache {
     /// allocated (eviction recycles storage, so nothing changes hands) —
     /// cheap and exact, because bitmap sizes are fixed by the universe.
     bytes: u64,
+    /// The owning run's fault injector, probed on fresh allocations.
+    pub(crate) chaos: Option<Arc<Chaos>>,
 }
 
 impl BitmapCache {
@@ -144,6 +154,7 @@ impl BitmapCache {
             free: Vec::new(),
             index: Vec::new(),
             bytes: 0,
+            chaos: None,
         }
     }
 
@@ -190,7 +201,9 @@ impl BitmapCache {
             Some(b) => b,
             None => {
                 self.fresh += 1;
-                crate::chaos::maybe_fail_alloc("hub-adjacency bitmap");
+                if let Some(chaos) = &self.chaos {
+                    chaos.maybe_fail_alloc("hub-adjacency bitmap");
+                }
                 self.bytes += (NeighborBitmap::words_for(graph.vertex_count())
                     * std::mem::size_of::<u64>()) as u64;
                 NeighborBitmap::new(graph.vertex_count())

@@ -15,10 +15,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use fingers_mining::{CancelToken, EngineConfig};
+use fingers_mining::{CancelToken, ChaosSite, EngineConfig};
 use fingers_pattern::Induced;
-
-use fingers_mining::chaos::{self, ChaosSite};
 
 use crate::json::Json;
 use crate::proto::{self, CountReport, Request};
@@ -33,7 +31,8 @@ pub struct DaemonConfig {
     pub socket: PathBuf,
     /// `(name, spec)` pairs loaded into the registry before serving.
     pub graphs: Vec<(String, String)>,
-    /// Engine configuration shared by every query (hub budget, fusion).
+    /// Engine configuration shared by every query (hub budget, fusion, and
+    /// any fault injector, whose counters then span the daemon's lifetime).
     pub engine: EngineConfig,
     /// Scheduler sizing and policy.
     pub sched: SchedulerConfig,
@@ -245,7 +244,11 @@ fn handle_connection(stream: UnixStream, state: &Arc<ServerState>, engine: &Engi
         // than just dropping it: a write-half clone lives in
         // `state.conns` and would otherwise hold the connection open,
         // leaving the peer blocked in `read_line` instead of seeing EOF.
-        if chaos::should_fail(ChaosSite::SocketIo) {
+        if engine
+            .chaos
+            .as_ref()
+            .is_some_and(|chaos| chaos.should_fail(ChaosSite::SocketIo))
+        {
             let _ = writer.shutdown(std::net::Shutdown::Both);
             break;
         }

@@ -481,7 +481,9 @@ fn spawn_worker(core: &Arc<Core>) {
 /// panic genuinely kills this thread, exercising the phoenix rebuild.
 fn worker_loop(core: &Arc<Core>) {
     while let Some((job, reply)) = core.dequeue() {
-        fingers_mining::chaos::maybe_panic_sched_worker();
+        if let Some(chaos) = &job.config.chaos {
+            chaos.maybe_panic_sched_worker();
+        }
         let result = core.run_job(&job).map_err(JobError::Engine);
         match &result {
             // ord: relaxed(monotonic stats counters, all three arms)
@@ -713,6 +715,23 @@ mod tests {
 
     fn plan_of(p: &Pattern) -> Arc<ExecutionPlan> {
         Arc::new(ExecutionPlan::compile(p, Induced::Vertex))
+    }
+
+    /// Returns once the pool has dequeued every queued job.
+    fn wait_until_dequeued(sched: &Scheduler) {
+        loop {
+            // lock: queue
+            let queue = sched
+                .core
+                .queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            if queue.items.is_empty() {
+                return;
+            }
+            drop(queue);
+            std::thread::yield_now();
+        }
     }
 
     fn job(graph: &Arc<StoredGraph>, plans: Vec<Arc<ExecutionPlan>>, token: CancelToken) -> Job {
@@ -973,6 +992,9 @@ mod tests {
         let plug_rx = sched
             .submit(job(&graph, vec![Arc::clone(&slow)], plug_token.clone()))
             .expect("plug admitted");
+        // The plug must be running, not queued, before pressure arrives:
+        // otherwise the worker's first dequeue would shed the plug too.
+        wait_until_dequeued(&sched);
         let far = sched
             .submit(job(
                 &graph,

@@ -16,8 +16,9 @@ use fingers_graph::hubs::HubSet;
 use fingers_graph::CsrGraph;
 use fingers_mining::EngineConfig;
 
-/// Where a registered graph comes from (same spec grammar as the CLI's
-/// `--graph`: a file path, `dataset:<abbrev>`, or `gen:<er|pl>:<n>:<m>:<seed>`).
+/// Where a graph comes from: the one spec grammar shared by the daemon's
+/// `--load`, the CLI's `--graph`, and the soak harness — a file path,
+/// `dataset:<abbrev>`, or `gen:<er|pl>:<n>:<m>:<seed>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphSpec {
     /// A whitespace edge-list file.

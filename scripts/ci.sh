@@ -61,6 +61,13 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# Every crate's suites, not just the umbrella package's: lib unit tests,
+# integration tests, and doc tests across the workspace, at default test
+# parallelism (no suite shares process-global state with another).
+# Release mode keeps the mining and bench suites fast.
+echo "==> cargo test -q --workspace --release"
+cargo test -q --workspace --release
+
 # The repository benchmark (perfbench/) is its own cargo workspace with path
 # dependencies on the engine crates, so no workspace step builds it; its unit
 # tests catch engine API changes that would break the benchmark.
@@ -103,8 +110,8 @@ FINGERS_RESULTS_DIR=/nonexistent-fingers-ci-smoke \
 echo "==> fingers-setops --no-default-features (scalar-fallback job)"
 cargo test -q -p fingers-setops --no-default-features
 
-# Chaos jobs. The fault-injection suite drives the engine through the
-# seeded chaos plan (typed failures, bit-identical recovery); the second
+# Chaos jobs. The fault-injection suite drives the engine through seeded
+# per-run chaos plans (typed failures, bit-identical recovery); the second
 # run disables the forwarded `simd` feature, proving the scalar-fallback
 # engine degrades identically under the same fault streams. The soak
 # smoke then storms the governed daemon once per seed of the fixed
